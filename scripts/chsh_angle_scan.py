@@ -11,9 +11,11 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
+# Before numpy: the package's EVENTSTATE_NUM_THREADS bridge only reaches the
+# BLAS thread pools if it runs before numpy is imported.
 from eventstates import build_sl_instant, chsh_scenarios, chsh_value
+
+import numpy as np
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 

@@ -23,6 +23,7 @@ from .event_states import (
     EventState,
     build_event_state,
     build_timed_state,
+    check_buildable,
     conditional_decomposition,
     trace_out_timers,
     timer_distribution,
@@ -85,6 +86,7 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 def _cmd_validate(args) -> int:
     loaded = load_scenario(args.scenario)
     s = loaded.scenario
+    check_buildable(s)
     payload = {
         "ok": True,
         "kind": s.kind,
@@ -330,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="schema-check a scenario file")
+    p = sub.add_parser("validate", help="check that a scenario file can be built")
     p.add_argument("scenario")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_validate)

@@ -25,14 +25,20 @@ from typing import Literal
 
 import numpy as np
 
-from .policy import DEFAULT_POLICY, NumericPolicy, NumericsError, ScenarioError
+from .policy import (
+    EMPTY_BLOCK_FLOOR,
+    HERMITICITY_TOL,
+    PURE_BLOCK_TOL,
+    NumericsError,
+    ScenarioError,
+)
 from .quantum_core import (
     MeasurementModel,
+    _readonly,
     as_ket,
     as_operator,
     assert_density,
     assert_unitary,
-    validate_density,
 )
 from .timing import (
     CONDITIONAL,
@@ -53,6 +59,7 @@ __all__ = [
     "build_tl_fuzzy",
     "build_timed_state",
     "build_event_state",
+    "check_buildable",
     "trace_out_timers",
     "timer_distribution",
     "outcome_probabilities",
@@ -63,16 +70,10 @@ __all__ = [
 TIMED_DIM_BOUND = 256
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr)
-    out.setflags(write=False)
-    return out
-
-
-def _assert_hermitian(mat: np.ndarray, *, policy: NumericPolicy, name: str) -> np.ndarray:
+def _assert_hermitian(mat: np.ndarray, *, name: str) -> np.ndarray:
     mat = as_operator(mat, name=name)
     defect = float(np.max(np.abs(mat - mat.conj().T)))
-    if defect > policy.hermiticity_tol:
+    if defect > HERMITICITY_TOL:
         raise NumericsError(f"{name} is not Hermitian: defect {defect:.3e}")
     return mat
 
@@ -150,14 +151,13 @@ class EventScenario:
     timing: EventTiming | None = None
 
     def __post_init__(self):
-        policy = DEFAULT_POLICY
         if self.kind not in ("SL", "TL"):
             raise ScenarioError(f"kind must be 'SL' or 'TL', got {self.kind!r}")
         initial = np.asarray(self.initial, dtype=complex)
         if initial.ndim == 1:
-            initial = as_ket(initial, policy=policy, name="initial state")
+            initial = as_ket(initial, name="initial state")
         else:
-            initial = assert_density(initial, policy=policy, name="initial state")
+            initial = assert_density(initial, name="initial state")
         object.__setattr__(self, "initial", _readonly(initial))
         dim = initial.shape[0]
         da, db = self.basis_a.dim, self.basis_b.dim
@@ -172,12 +172,12 @@ class EventScenario:
                 if getattr(self, field) is not None:
                     raise ScenarioError(f"{field} only applies to independent event pairs")
             if self.evolution is not None:
-                u = assert_unitary(self.evolution, policy=policy, name="evolution")
+                u = assert_unitary(self.evolution, name="evolution")
                 if u.shape[0] != dim:
                     raise ScenarioError("evolution dimension does not match the system")
                 object.__setattr__(self, "evolution", _readonly(u))
             if self.hamiltonian is not None:
-                h = _assert_hermitian(self.hamiltonian, policy=policy, name="hamiltonian")
+                h = _assert_hermitian(self.hamiltonian, name="hamiltonian")
                 if h.shape[0] != dim:
                     raise ScenarioError("hamiltonian dimension does not match the system")
                 object.__setattr__(self, "hamiltonian", _readonly(h))
@@ -192,7 +192,7 @@ class EventScenario:
             for field, d in (("evolution_a", da), ("evolution_b", db)):
                 u = getattr(self, field)
                 if u is not None:
-                    u = assert_unitary(u, policy=policy, name=field)
+                    u = assert_unitary(u, name=field)
                     if u.shape[0] != d:
                         raise ScenarioError(f"{field} dimension does not match its factor")
                     object.__setattr__(self, field, _readonly(u))
@@ -201,14 +201,14 @@ class EventScenario:
             ):
                 raise ScenarioError("give either a joint hamiltonian or per-factor ones, not both")
             if self.hamiltonian is not None:
-                h = _assert_hermitian(self.hamiltonian, policy=policy, name="hamiltonian")
+                h = _assert_hermitian(self.hamiltonian, name="hamiltonian")
                 if h.shape[0] != dim:
                     raise ScenarioError("joint hamiltonian dimension does not match the system")
                 object.__setattr__(self, "hamiltonian", _readonly(h))
             for field, d in (("hamiltonian_a", da), ("hamiltonian_b", db)):
                 h = getattr(self, field)
                 if h is not None:
-                    h = _assert_hermitian(h, policy=policy, name=field)
+                    h = _assert_hermitian(h, name=field)
                     if h.shape[0] != d:
                         raise ScenarioError(f"{field} dimension does not match its factor")
                     object.__setattr__(self, field, _readonly(h))
@@ -269,7 +269,7 @@ class EventState:
     timers: TimeGrid | None = None
 
     def __post_init__(self):
-        rho = assert_density(self.rho, policy=DEFAULT_POLICY, name="event state")
+        rho = assert_density(self.rho, name="event state")
         da, db = self.basis_a.dim, self.basis_b.dim
         expect = da * db
         if self.timers is not None:
@@ -295,7 +295,7 @@ def _evolution_family(hamiltonian: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return np.einsum("ij,mj,kj->mik", vecs, phases, vecs.conj())
 
 
-def build_sl_instant(scenario: EventScenario, *, policy: NumericPolicy = DEFAULT_POLICY) -> EventState:
+def build_sl_instant(scenario: EventScenario) -> EventState:
     """Record state for two independent measurements read out sharply.
 
     The result is diagonal in the joint record basis, with entries equal to
@@ -316,7 +316,7 @@ def build_sl_instant(scenario: EventScenario, *, policy: NumericPolicy = DEFAULT
     )
 
 
-def build_tl_instant(scenario: EventScenario, *, policy: NumericPolicy = DEFAULT_POLICY) -> EventState:
+def build_tl_instant(scenario: EventScenario) -> EventState:
     """Record state for two ordered measurements of one system.
 
     The first record keeps the coherences of the system state in the first
@@ -346,7 +346,26 @@ def _require_timing(scenario: EventScenario) -> EventTiming:
     return scenario.timing
 
 
-def build_sl_fuzzy(scenario: EventScenario, *, policy: NumericPolicy = DEFAULT_POLICY) -> EventState:
+def check_buildable(scenario: EventScenario) -> None:
+    """Raise :class:`ScenarioError` unless :func:`build_event_state` can build ``scenario``.
+
+    Sharp builds need nothing beyond a valid scenario.  Time averaging needs
+    separable profiles and the generators of the in-flight evolution: one
+    for ordered events, one per factor for independent ones.
+    """
+    timing = scenario.timing
+    if timing is None:
+        return
+    if scenario.kind == "SL":
+        if timing.joint_amplitudes is not None:
+            raise ScenarioError("time averaging needs separable profiles, not a joint table")
+        if scenario.hamiltonian_a is None or scenario.hamiltonian_b is None:
+            raise ScenarioError("time averaging needs per-factor hamiltonians (zero matrices are fine)")
+    elif scenario.hamiltonian is None:
+        raise ScenarioError("time averaging needs a hamiltonian (a zero matrix is fine)")
+
+
+def build_sl_fuzzy(scenario: EventScenario) -> EventState:
     """Record state for independent events averaged over their firing times.
 
     Each factor evolves under its own Hamiltonian until its detector fires;
@@ -356,10 +375,7 @@ def build_sl_fuzzy(scenario: EventScenario, *, policy: NumericPolicy = DEFAULT_P
     if scenario.kind != "SL":
         raise ScenarioError("scenario does not describe independent events")
     timing = _require_timing(scenario)
-    if timing.joint_amplitudes is not None:
-        raise ScenarioError("time averaging needs separable profiles, not a joint table")
-    if scenario.hamiltonian_a is None or scenario.hamiltonian_b is None:
-        raise ScenarioError("time averaging needs per-factor hamiltonians (zero matrices are fine)")
+    check_buildable(scenario)
     da, db = scenario.dims
     grid = timing.grid
     dt = grid.dt
@@ -390,7 +406,7 @@ def build_sl_fuzzy(scenario: EventScenario, *, policy: NumericPolicy = DEFAULT_P
     )
 
 
-def build_tl_fuzzy(scenario: EventScenario, *, policy: NumericPolicy = DEFAULT_POLICY) -> EventState:
+def build_tl_fuzzy(scenario: EventScenario) -> EventState:
     """Record state for ordered events averaged over their firing times.
 
     The system evolves under the Hamiltonian until the first detector fires,
@@ -401,8 +417,7 @@ def build_tl_fuzzy(scenario: EventScenario, *, policy: NumericPolicy = DEFAULT_P
     if scenario.kind != "TL":
         raise ScenarioError("scenario does not describe ordered events")
     timing = _require_timing(scenario)
-    if scenario.hamiltonian is None:
-        raise ScenarioError("time averaging needs a hamiltonian (a zero matrix is fine)")
+    check_buildable(scenario)
     d = scenario.basis_a.dim
     grid = timing.grid
     dt = grid.dt
@@ -469,7 +484,7 @@ def _project_b(ket_b: np.ndarray, vec2: np.ndarray) -> np.ndarray:
     return (vec2 @ ket_b.conj())[:, None] * ket_b[None, :]
 
 
-def build_timed_state(scenario: EventScenario, *, policy: NumericPolicy = DEFAULT_POLICY) -> EventState:
+def build_timed_state(scenario: EventScenario) -> EventState:
     """Full record state over timer registers and detectors.
 
     Every grid bin becomes one basis state of each timer register, so the
@@ -559,7 +574,7 @@ def build_timed_state(scenario: EventScenario, *, policy: NumericPolicy = DEFAUL
     )
 
 
-def build_event_state(scenario: EventScenario, *, policy: NumericPolicy = DEFAULT_POLICY) -> EventState:
+def build_event_state(scenario: EventScenario) -> EventState:
     """Build the detector-space record state a scenario describes.
 
     Scenarios without timing build sharp records; scenarios with timing
@@ -570,7 +585,7 @@ def build_event_state(scenario: EventScenario, *, policy: NumericPolicy = DEFAUL
         builder = build_sl_instant if scenario.kind == "SL" else build_tl_instant
     else:
         builder = build_sl_fuzzy if scenario.kind == "SL" else build_tl_fuzzy
-    return builder(scenario, policy=policy)
+    return builder(scenario)
 
 
 def _timed_tensor(state: EventState) -> np.ndarray:
@@ -631,9 +646,7 @@ class ConditionalDecomposition:
         return self.lambdas is not None
 
 
-def conditional_decomposition(
-    state: EventState, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> ConditionalDecomposition:
+def conditional_decomposition(state: EventState) -> ConditionalDecomposition:
     """Split a detector-space state by the second record's value.
 
     Requires the state to carry no coherence between different second
@@ -648,7 +661,7 @@ def conditional_decomposition(
         for b2 in range(db):
             if b != b2:
                 cross = max(cross, float(np.max(np.abs(four[:, b, :, b2]))))
-    if cross > policy.hermiticity_tol:
+    if cross > HERMITICITY_TOL:
         raise NumericsError(
             f"state carries coherence between second-record values (max {cross:.3e}); "
             "it does not decompose by that record"
@@ -659,7 +672,7 @@ def conditional_decomposition(
     for b in range(db):
         block = four[:, b, :, b]
         p = float(np.real(np.trace(block)))
-        if p < policy.empty_block_floor:
+        if p < EMPTY_BLOCK_FLOOR:
             probs[b] = 0.0
             conditionals.append(None)
             continue
@@ -676,7 +689,7 @@ def conditional_decomposition(
                 kets.append(None)
                 continue
             vals, vecs = np.linalg.eigh(sigma)
-            if abs(vals[-1] - 1.0) > policy.pure_block_tol:
+            if abs(vals[-1] - 1.0) > PURE_BLOCK_TOL:
                 all_pure = False
                 break
             ket = vecs[:, -1]

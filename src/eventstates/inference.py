@@ -10,19 +10,21 @@ this:
 * the classical correlation: the entropy of the second record minus its
   average entropy conditioned on the best projective first-record readout.
 
-For ordered qubit events there is additionally a search for a first-
-measurement basis that makes the second outcome perfectly predictable.
+For ordered qubit events there is additionally a closed-form choice of
+first-measurement basis that makes the second outcome perfectly
+predictable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .event_states import EventState, conditional_decomposition
-from .policy import DEFAULT_POLICY, NumericPolicy, ScenarioError
+from .policy import DETERMINISM_TOL, EMPTY_BLOCK_FLOOR, ScenarioError
 from .quantum_core import (
     MeasurementModel,
     bloch_pair,
@@ -31,7 +33,6 @@ from .quantum_core import (
 )
 
 __all__ = [
-    "SearchPolicy",
     "HelstromResult",
     "PredictionReport",
     "CorrelationReport",
@@ -46,22 +47,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchPolicy:
-    """Grid and refinement settings for Bloch-sphere searches.
-
-    The coarse grid is theta-major (theta in [0, pi] inclusive, phi in
-    [0, 2 pi) exclusive), so ties resolve toward the smallest polar angle.
-    """
-
-    theta_points: int = 64
-    phi_points: int = 128
-    refine_maxiter: int = 200
-    refine_tol: float = 1e-6
-    residual_tol: float = 1e-6
-
-
-DEFAULT_SEARCH = SearchPolicy()
+# Bloch-sphere search for the classical correlation: a theta-major coarse
+# grid (theta in [0, pi] inclusive, phi in [0, 2 pi) exclusive, so ties
+# resolve toward the smallest polar angle), then a simplex refinement.
+THETA_POINTS = 64
+PHI_POINTS = 128
+REFINE_MAXITER = 200
+REFINE_TOL = 1e-6
+# Largest conditional-record overlap at which a first basis counts as
+# making the second outcome certain.
+BASIS_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -124,15 +119,13 @@ class PredictionReport:
     pairwise: np.ndarray | None
 
 
-def predict_future_outcome(
-    state: EventState, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> PredictionReport:
+def predict_future_outcome(state: EventState) -> PredictionReport:
     """Optimal probability of predicting the second record from the first.
 
     Decomposes the state by the second outcome and discriminates the
     first-record conditionals with their outcome probabilities as priors.
     """
-    decomp = conditional_decomposition(state, policy=policy)
+    decomp = conditional_decomposition(state)
     da = state.dims[0]
     zero = np.zeros((da, da), dtype=complex)
     weighted = [
@@ -224,8 +217,6 @@ def classical_correlation(
     state: EventState,
     *,
     measurements: list | None = None,
-    search: SearchPolicy = DEFAULT_SEARCH,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> CorrelationReport:
     """Classical correlation of the second record with the first, in bits.
 
@@ -239,7 +230,7 @@ def classical_correlation(
     da, db = state.dims
     rho4 = state.rho.reshape(da, db, da, db)
     rho_b = partial_trace(state.rho, (da, db), keep="B")
-    entropy_b = von_neumann_entropy(rho_b, policy=policy)
+    entropy_b = von_neumann_entropy(rho_b)
 
     if measurements is not None:
         stacked = np.stack(
@@ -253,13 +244,13 @@ def classical_correlation(
             "first record is not a qubit; pass an explicit list of candidate measurements"
         )
 
-    thetas = np.linspace(0.0, np.pi, search.theta_points)
-    phis = np.linspace(0.0, 2.0 * np.pi, search.phi_points, endpoint=False)
+    thetas = np.linspace(0.0, np.pi, THETA_POINTS)
+    phis = np.linspace(0.0, 2.0 * np.pi, PHI_POINTS, endpoint=False)
     grid = np.array([bloch_pair(t, p) for t in thetas for p in phis])
     values = _holevo_like(rho4, grid, entropy_b)
     best = int(np.argmax(values))
     best_value = float(values[best])
-    x0 = np.array([thetas[best // search.phi_points], phis[best % search.phi_points]])
+    x0 = np.array([thetas[best // PHI_POINTS], phis[best % PHI_POINTS]])
 
     def objective(x):
         return -float(_holevo_like(rho4, bloch_pair(x[0], x[1])[None], entropy_b)[0])
@@ -268,11 +259,7 @@ def classical_correlation(
         objective,
         x0,
         method="Nelder-Mead",
-        options={
-            "maxiter": search.refine_maxiter,
-            "xatol": search.refine_tol,
-            "fatol": search.refine_tol,
-        },
+        options={"maxiter": REFINE_MAXITER, "xatol": REFINE_TOL, "fatol": REFINE_TOL},
     )
     if -float(refined.fun) > best_value:
         return CorrelationReport(
@@ -291,7 +278,7 @@ class DeterminismReport:
 
     ``max_overlap`` is the largest pairwise overlap Tr(sigma_b sigma_b')
     between supported conditionals; the pair is deterministic when every
-    overlap sits below the policy threshold, i.e. the second outcome is
+    overlap sits below ``DETERMINISM_TOL``, i.e. the second outcome is
     readable from the first record without error.  ``gram`` holds the full
     pairwise picture on the amplitude scale, sqrt(Tr(sigma_b sigma_b')),
     which for pure conditionals is the magnitude of the ket overlap; rows
@@ -303,13 +290,11 @@ class DeterminismReport:
     gram: np.ndarray
 
 
-def determinism_check(
-    state: EventState, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> DeterminismReport:
+def determinism_check(state: EventState) -> DeterminismReport:
     """Decide whether the second outcome is perfectly encoded in the first record."""
     if state.kind != "TL":
         raise ScenarioError("determinism of the second outcome only applies to ordered pairs")
-    decomp = conditional_decomposition(state, policy=policy)
+    decomp = conditional_decomposition(state)
     n = len(decomp.conditionals)
     gram = np.zeros((n, n))
     worst = 0.0
@@ -325,7 +310,7 @@ def determinism_check(
             worst = max(worst, overlap)
             gram[i, j] = gram[j, i] = np.sqrt(max(overlap, 0.0))
     return DeterminismReport(
-        deterministic=worst < policy.determinism_tol, max_overlap=worst, gram=gram
+        deterministic=worst < DETERMINISM_TOL, max_overlap=worst, gram=gram
     )
 
 
@@ -362,15 +347,17 @@ def find_deterministic_basis(
     initial: np.ndarray,
     evolution: np.ndarray | None,
     basis_b: MeasurementModel,
-    *,
-    search: SearchPolicy = DEFAULT_SEARCH,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> BasisSearchResult:
-    """Search qubit first-measurement bases that make the second outcome certain.
+    """Qubit first-measurement basis that makes the second outcome certain.
 
-    Scans the Bloch sphere for a basis whose two conditional records are
-    orthogonal (residual overlap below the search tolerance), refining the
-    best grid point with a simplex step.  The initial state must be a ket.
+    For a first basis along the Bloch axis n, the two conditional records
+    overlap by (n . r)(n . m) / 2, where r is the Bloch vector of the initial
+    ket and m depends only on the evolution and the second basis; so every
+    axis perpendicular to r works.  Of those, the axis with the
+    smallest polar angle is returned; when r lies along +-z every axis on the
+    equator qualifies and the smallest azimuth, (pi/2, 0), is taken.  The
+    residual overlap is computed for that axis, and ``found`` certifies it
+    is at most ``BASIS_RESIDUAL_TOL``.  The initial state must be a ket.
     """
     psi0 = np.asarray(initial, dtype=complex)
     if psi0.ndim != 1:
@@ -379,38 +366,18 @@ def find_deterministic_basis(
         raise ScenarioError("the basis search is implemented for qubits")
     u = np.eye(2, dtype=complex) if evolution is None else np.asarray(evolution, dtype=complex)
 
-    thetas = np.linspace(0.0, np.pi, search.theta_points)
-    phis = np.linspace(0.0, 2.0 * np.pi, search.phi_points, endpoint=False)
-    grid = np.array([bloch_pair(t, p) for t in thetas for p in phis])
-    residuals = _orthogonality_residual(grid, psi0, u, basis_b, policy.empty_block_floor)
-    best = int(np.argmin(residuals))
-    best_theta = float(thetas[best // search.phi_points])
-    best_phi = float(phis[best % search.phi_points])
-    best_res = float(residuals[best])
+    a, b = psi0
+    ab = complex(np.conj(a) * b)
+    rx, ry, rz = 2.0 * ab.real, 2.0 * ab.imag, float(abs(a) ** 2 - abs(b) ** 2)
+    # The highest point of the great circle n . r = 0 sits at polar angle
+    # atan2(|rz|, |r_xy|) and azimuth that of -rz * (rx, ry).
+    r_xy = math.hypot(rx, ry)
+    theta = math.atan2(abs(rz), r_xy)
+    phi = 0.0 if r_xy == 0.0 or rz == 0.0 else math.atan2(-rz * ry, -rz * rx) % (2.0 * math.pi)
 
-    def objective(x):
-        return float(
-            _orthogonality_residual(
-                bloch_pair(x[0], x[1])[None], psi0, u, basis_b, policy.empty_block_floor
-            )[0]
-        )
-
-    refined = minimize(
-        objective,
-        np.array([best_theta, best_phi]),
-        method="Nelder-Mead",
-        options={
-            "maxiter": search.refine_maxiter,
-            "xatol": search.refine_tol,
-            "fatol": search.refine_tol,
-        },
+    residual = float(
+        _orthogonality_residual(bloch_pair(theta, phi)[None], psi0, u, basis_b, EMPTY_BLOCK_FLOOR)[0]
     )
-    if float(refined.fun) < best_res:
-        best_res = float(refined.fun)
-        best_theta, best_phi = float(refined.x[0]), float(refined.x[1])
-
-    found = best_res <= search.residual_tol
-    basis = MeasurementModel.from_axis_angle(best_theta, best_phi) if found else None
-    return BasisSearchResult(
-        found=found, basis=basis, residual=best_res, theta=best_theta, phi=best_phi
-    )
+    found = residual <= BASIS_RESIDUAL_TOL
+    basis = MeasurementModel.from_axis_angle(theta, phi) if found else None
+    return BasisSearchResult(found=found, basis=basis, residual=residual, theta=theta, phi=phi)

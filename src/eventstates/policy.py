@@ -1,13 +1,11 @@
 """Shared numeric tolerances and error types.
 
-Every validation step in the package reads its thresholds from a single
-:class:`NumericPolicy` record so that tolerances can be tightened or loosened
-in one place.  The defaults match the contracts asserted by the test suite.
+Every validation step in the package reads its thresholds from the module
+constants below, so each tolerance is stated once.  The values match the
+contracts asserted by the test suite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class ScenarioError(ValueError):
@@ -18,47 +16,28 @@ class NumericsError(ValueError):
     """A numerical invariant (normalization, unitarity, positivity) failed."""
 
 
-@dataclass(frozen=True)
-class NumericPolicy:
-    """Tolerance bundle used across the package.
-
-    Attributes
-    ----------
-    hermiticity_tol, trace_tol, psd_tol:
-        Density-matrix validation: max Hermiticity defect, trace defect, and
-        the most negative eigenvalue tolerated (values in [-psd_tol, 0) are
-        clamped to 0 before entropies are taken).
-    ket_norm_tol, ortho_tol, unitary_tol:
-        State-vector norm, basis orthonormality, and unitarity defects.
-    profile_norm_tol:
-        Normalization defect allowed for detection-time distributions.
-    coherence_floor_bits:
-        Record coherence above this many bits counts as a causal signature.
-    time_correlation_floor:
-        Detection-time covariance above this counts as a causal signature.
-    empty_block_floor:
-        Conditional blocks with less probability mass than this are reported
-        as absent outcomes rather than normalized.
-    pure_block_tol:
-        Largest eigenvalue of a normalized conditional block must be within
-        this of 1 for the block to count as pure.
-    determinism_tol:
-        Conditional states whose pairwise overlaps all fall below this count
-        as perfectly distinguishable.
-    """
-
-    hermiticity_tol: float = 1e-10
-    trace_tol: float = 1e-10
-    psd_tol: float = 1e-10
-    ket_norm_tol: float = 1e-10
-    ortho_tol: float = 1e-10
-    unitary_tol: float = 1e-10
-    profile_norm_tol: float = 1e-6
-    coherence_floor_bits: float = 1e-9
-    time_correlation_floor: float = 1e-8
-    empty_block_floor: float = 1e-12
-    pure_block_tol: float = 1e-10
-    determinism_tol: float = 1e-8
-
-
-DEFAULT_POLICY = NumericPolicy()
+# Density-matrix validation: max Hermiticity defect, trace defect, and the
+# most negative eigenvalue tolerated (values in [-PSD_TOL, 0) are clamped to
+# 0 before entropies are taken).
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-10
+PSD_TOL = 1e-10
+# State-vector norm, basis orthonormality, and unitarity defects.
+KET_NORM_TOL = 1e-10
+ORTHO_TOL = 1e-10
+UNITARY_TOL = 1e-10
+# Normalization defect allowed for detection-time distributions.
+PROFILE_NORM_TOL = 1e-6
+# Record coherence above this many bits counts as a causal signature.
+COHERENCE_FLOOR_BITS = 1e-9
+# Detection-time covariance above this counts as a causal signature.
+TIME_CORRELATION_FLOOR = 1e-8
+# Conditional blocks with less probability mass than this are reported as
+# absent outcomes rather than normalized.
+EMPTY_BLOCK_FLOOR = 1e-12
+# Largest eigenvalue of a normalized conditional block must be within this
+# of 1 for the block to count as pure.
+PURE_BLOCK_TOL = 1e-10
+# Conditional states whose pairwise overlaps all fall below this count as
+# perfectly distinguishable.
+DETERMINISM_TOL = 1e-8

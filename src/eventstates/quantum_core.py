@@ -16,7 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .policy import DEFAULT_POLICY, NumericPolicy, NumericsError
+from .policy import (
+    HERMITICITY_TOL,
+    KET_NORM_TOL,
+    ORTHO_TOL,
+    PSD_TOL,
+    TRACE_TOL,
+    UNITARY_TOL,
+    NumericsError,
+)
 
 __all__ = [
     "PAULI_X",
@@ -60,7 +68,7 @@ def as_operator(value, *, name: str = "operator") -> np.ndarray:
     return mat
 
 
-def as_ket(value, *, policy: NumericPolicy = DEFAULT_POLICY, name: str = "ket") -> np.ndarray:
+def as_ket(value, *, name: str = "ket") -> np.ndarray:
     """Coerce ``value`` to a unit-norm complex vector."""
     vec = np.asarray(value, dtype=complex)
     if vec.ndim != 1 or vec.size < 1:
@@ -68,7 +76,7 @@ def as_ket(value, *, policy: NumericPolicy = DEFAULT_POLICY, name: str = "ket") 
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"{name} has non-finite entries")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > policy.ket_norm_tol:
+    if abs(norm - 1.0) > KET_NORM_TOL:
         raise NumericsError(f"{name} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return vec
 
@@ -126,10 +134,10 @@ def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def _clamped_spectrum(rho: np.ndarray, policy: NumericPolicy) -> np.ndarray:
+def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:
     herm = 0.5 * (rho + rho.conj().T)
     vals = np.linalg.eigvalsh(herm)
-    if vals.min() < -policy.psd_tol:
+    if vals.min() < -PSD_TOL:
         raise NumericsError(f"operator is not positive semidefinite: min eigenvalue {vals.min():.3e}")
     return np.clip(vals, 0.0, None)
 
@@ -143,10 +151,10 @@ def shannon_entropy(probs) -> float:
     return float(-(p @ np.log2(p)))
 
 
-def von_neumann_entropy(rho, *, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def von_neumann_entropy(rho) -> float:
     """Spectral entropy of a density matrix, in bits."""
     mat = as_operator(rho, name="rho")
-    return shannon_entropy(_clamped_spectrum(mat, policy))
+    return shannon_entropy(_clamped_spectrum(mat))
 
 
 def trace_distance(rho, sigma) -> float:
@@ -191,9 +199,7 @@ def dephase(rho, basis=None) -> np.ndarray:
     return np.einsum("m,mi,mj->ij", probs, rows, rows.conj())
 
 
-def relative_entropy_of_coherence(
-    rho, basis=None, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> float:
+def relative_entropy_of_coherence(rho, basis=None) -> float:
     """Entropy gained by dephasing ``rho`` in the given basis, in bits.
 
     Equals S(dephased) - S(rho); zero exactly when dephasing leaves the state
@@ -205,7 +211,7 @@ def relative_entropy_of_coherence(
         probs = np.real(np.diag(mat))
     else:
         probs = np.real(np.einsum("mi,ij,mj->m", rows.conj(), mat, rows))
-    value = shannon_entropy(np.clip(probs, 0.0, None)) - von_neumann_entropy(mat, policy=policy)
+    value = shannon_entropy(np.clip(probs, 0.0, None)) - von_neumann_entropy(mat)
     return max(value, 0.0)
 
 
@@ -226,7 +232,7 @@ class DensityCheck:
         return self.hermitian_ok and self.trace_ok and self.psd_ok
 
 
-def validate_density(op, *, policy: NumericPolicy = DEFAULT_POLICY) -> DensityCheck:
+def validate_density(op) -> DensityCheck:
     """Report how far ``op`` is from being a valid density matrix."""
     mat = as_operator(op, name="operator")
     herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
@@ -237,16 +243,16 @@ def validate_density(op, *, policy: NumericPolicy = DEFAULT_POLICY) -> DensityCh
         hermiticity_defect=herm_defect,
         trace_defect=trace_defect,
         min_eigenvalue=min_eig,
-        hermitian_ok=herm_defect <= policy.hermiticity_tol,
-        trace_ok=trace_defect <= policy.trace_tol,
-        psd_ok=min_eig >= -policy.psd_tol,
+        hermitian_ok=herm_defect <= HERMITICITY_TOL,
+        trace_ok=trace_defect <= TRACE_TOL,
+        psd_ok=min_eig >= -PSD_TOL,
     )
 
 
-def assert_density(op, *, policy: NumericPolicy = DEFAULT_POLICY, name: str = "state") -> np.ndarray:
+def assert_density(op, *, name: str = "state") -> np.ndarray:
     """Validate ``op`` as a density matrix, raising :class:`NumericsError` on failure."""
     mat = as_operator(op, name=name)
-    check = validate_density(mat, policy=policy)
+    check = validate_density(mat)
     if not check.ok:
         raise NumericsError(
             f"{name} is not a valid density matrix: "
@@ -257,16 +263,16 @@ def assert_density(op, *, policy: NumericPolicy = DEFAULT_POLICY, name: str = "s
     return mat
 
 
-def is_unitary(op, *, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+def is_unitary(op) -> bool:
     mat = as_operator(op, name="operator")
     eye = np.eye(mat.shape[0])
-    return float(np.max(np.abs(mat.conj().T @ mat - eye))) <= policy.unitary_tol
+    return float(np.max(np.abs(mat.conj().T @ mat - eye))) <= UNITARY_TOL
 
 
-def assert_unitary(op, *, policy: NumericPolicy = DEFAULT_POLICY, name: str = "operator") -> np.ndarray:
+def assert_unitary(op, *, name: str = "operator") -> np.ndarray:
     mat = as_operator(op, name=name)
     defect = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
-    if defect > policy.unitary_tol:
+    if defect > UNITARY_TOL:
         raise NumericsError(f"{name} is not unitary: defect {defect:.3e}")
     return mat
 
@@ -297,7 +303,7 @@ class MeasurementModel:
             raise ValueError("one label per basis ket required")
         gram = kets.conj() @ kets.T
         defect = float(np.max(np.abs(gram - np.eye(kets.shape[0]))))
-        if defect > DEFAULT_POLICY.ortho_tol:
+        if defect > ORTHO_TOL:
             raise NumericsError(f"basis is not orthonormal: defect {defect:.3e}")
         if np.unique(labels).size != labels.size:
             raise ValueError("outcome labels must be distinct")

@@ -22,7 +22,13 @@ import numpy as np
 from .event_states import EventScenario, EventTiming
 from .policy import ScenarioError
 from .quantum_core import PAULI_X, PAULI_Y, PAULI_Z, MeasurementModel
-from .serialize import basis_from_json, operator_from_json, profile_from_json
+from .serialize import (
+    _parts_to_array,
+    basis_from_json,
+    load_json_file,
+    operator_from_json,
+    profile_from_json,
+)
 from .timing import (
     CONDITIONAL,
     MARGINAL,
@@ -80,20 +86,21 @@ def _parse_basis(data, name: str) -> MeasurementModel:
         return _NAMED_BASES[data]()
     if "theta" in data:
         labels = data.get("labels", (1.0, -1.0))
-        return MeasurementModel.from_axis_angle(
-            float(data["theta"]), float(data.get("phi", 0.0)), labels=labels
-        )
+        try:
+            return MeasurementModel.from_axis_angle(
+                float(data["theta"]), float(data.get("phi", 0.0)), labels=labels
+            )
+        except ValueError as exc:
+            raise ScenarioError(f"{name}: {exc}") from exc
     return basis_from_json(data, name=name)
 
 
 def _parse_initial(data: dict) -> np.ndarray:
     if "ket" in data:
-        spec = data["ket"]
-        re = np.asarray(spec["re"], dtype=float)
-        im = np.asarray(spec["im"], dtype=float)
-        if re.shape != im.shape or re.ndim != 1:
+        ket = _parts_to_array(data["ket"], "initial.ket")
+        if ket.ndim != 1:
             raise ScenarioError("initial.ket: re/im must be equal-length vectors")
-        return re + 1j * im
+        return ket
     return operator_from_json(data["density"], name="initial.density")
 
 
@@ -105,21 +112,25 @@ def _parse_profile(data: dict, grid: TimeGrid, name: str) -> TimingProfile:
         return profile
     conditional = bool(data.get("conditional", False))
     if data["type"] == "exponential":
-        gamma = float(data["gamma"])
+        if "gamma" not in data:
+            raise ScenarioError(f"{name}: an exponential profile needs 'gamma'")
         maker = exponential_conditional if conditional else exponential_profile
-        return maker(gamma, grid)
+        return maker(float(data["gamma"]), grid)
     if conditional:
         return delta_conditional(grid, int(data.get("lag_bins", 0)))
-    return delta_profile(grid, int(data.get("bin", 0)))
+    try:
+        return delta_profile(grid, int(data.get("bin", 0)))
+    except ValueError as exc:
+        raise ScenarioError(f"{name}: {exc}") from exc
 
 
 def _parse_timing(data: dict) -> EventTiming:
     spec = data["grid"]
     grid = TimeGrid(t0=float(spec.get("t0", 0.0)), dt=float(spec["dt"]), n_bins=int(spec["n_bins"]))
     if "joint" in data:
-        re = np.asarray(data["joint"]["re"], dtype=float)
-        im = np.asarray(data["joint"]["im"], dtype=float)
-        return EventTiming(joint_amplitudes=re + 1j * im, joint_grid=grid)
+        return EventTiming(
+            joint_amplitudes=_parts_to_array(data["joint"], "timing.joint"), joint_grid=grid
+        )
     profile_a = _parse_profile(data["profileA"], grid, "timing.profileA")
     profile_b = _parse_profile(data["profileB"], grid, "timing.profileB")
     return EventTiming(profile_a=profile_a, profile_b=profile_b)
@@ -176,9 +187,4 @@ def load_scenario(path: str) -> ScenarioFile:
     violations raise ScenarioError; numeric invariant failures raise
     NumericsError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_json(data, source=path)
+    return scenario_from_json(load_json_file(path), source=path)

@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from .event_states import EventState
-from .policy import DEFAULT_POLICY, NumericPolicy, ScenarioError
+from .policy import ScenarioError
 from .quantum_core import MeasurementModel
 from .timing import TimeGrid, TimingProfile
 
@@ -50,8 +50,11 @@ def _require(data: dict, key: str, context: str) -> Any:
 
 
 def _parts_to_array(data: dict, context: str) -> np.ndarray:
-    re = np.asarray(_require(data, "re", context), dtype=float)
-    im = np.asarray(_require(data, "im", context), dtype=float)
+    parts = _require(data, "re", context), _require(data, "im", context)
+    try:
+        re, im = (np.asarray(part, dtype=float) for part in parts)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{context}: re/im must be rectangular arrays of numbers") from exc
     if re.shape != im.shape:
         raise ScenarioError(f"{context}: re/im shapes differ ({re.shape} vs {im.shape})")
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
@@ -130,7 +133,7 @@ def state_to_json(state: EventState) -> dict:
     return out
 
 
-def state_from_json(data: dict, *, policy: NumericPolicy = DEFAULT_POLICY) -> EventState:
+def state_from_json(data: dict) -> EventState:
     """Rebuild a record state, revalidating every structural invariant."""
     kind = _require(data, "kind", "state")
     if kind not in ("SL", "TL"):
@@ -205,5 +208,5 @@ def load_json_file(path: str) -> dict:
     return data
 
 
-def load_state(path: str, *, policy: NumericPolicy = DEFAULT_POLICY) -> EventState:
-    return state_from_json(load_json_file(path), policy=policy)
+def load_state(path: str) -> EventState:
+    return state_from_json(load_json_file(path))

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import DEFAULT_POLICY, NumericPolicy, NumericsError
+from .policy import PROFILE_NORM_TOL, NumericsError
+from .quantum_core import _readonly
 
 __all__ = [
     "TimeGrid",
@@ -66,12 +67,6 @@ class TimeGrid:
         return self.t0 + self.dt * self.n_bins
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class TimingProfile:
     """Detection-time amplitudes chi sampled on a grid.
@@ -89,12 +84,11 @@ class TimingProfile:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         n = self.grid.n_bins
-        tol = DEFAULT_POLICY.profile_norm_tol
         if self.kind == MARGINAL:
             if amps.shape != (n,):
                 raise ValueError(f"marginal profile needs shape ({n},), got {amps.shape}")
             mass = float(np.sum(np.abs(amps) ** 2) * self.grid.dt)
-            if abs(mass - 1.0) > tol:
+            if abs(mass - 1.0) > PROFILE_NORM_TOL:
                 raise NumericsError(f"marginal profile not normalized: mass {mass:.8f}")
         elif self.kind == CONDITIONAL:
             if amps.shape != (n, n):
@@ -103,7 +97,7 @@ class TimingProfile:
                 raise NumericsError("conditional profile must be exactly zero below the diagonal")
             masses = np.sum(np.abs(amps) ** 2, axis=1) * self.grid.dt
             worst = float(np.max(np.abs(masses - 1.0)))
-            if worst > tol:
+            if worst > PROFILE_NORM_TOL:
                 raise NumericsError(f"conditional profile rows not normalized: defect {worst:.3e}")
         else:
             raise ValueError(f"kind must be {MARGINAL!r} or {CONDITIONAL!r}, got {self.kind!r}")
@@ -171,15 +165,13 @@ def _warn_if_coarse(gamma: float, dt: float) -> None:
         )
 
 
-def exponential_profile(
-    gamma: float, grid: TimeGrid, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> TimingProfile:
+def exponential_profile(gamma: float, grid: TimeGrid) -> TimingProfile:
     """Marginal profile chi(t) = sqrt(gamma) exp(-gamma (t - t0) / 2), renormalized on the grid."""
     if gamma <= 0.0:
         raise ValueError(f"decay rate must be positive, got {gamma}")
     _warn_if_coarse(gamma, grid.dt)
     tail = exponential_tail_mass(gamma, grid)
-    if tail > policy.profile_norm_tol:
+    if tail > PROFILE_NORM_TOL:
         warnings.warn(
             f"grid truncates {tail:.3g} of the decay mass; extend the grid for accuracy",
             stacklevel=2,
@@ -190,9 +182,7 @@ def exponential_profile(
     return TimingProfile(grid=grid, kind=MARGINAL, amplitudes=amps.astype(complex))
 
 
-def exponential_conditional(
-    gamma: float, grid: TimeGrid, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> TimingProfile:
+def exponential_conditional(gamma: float, grid: TimeGrid) -> TimingProfile:
     """Conditional profile restarting an exponential decay at the trigger bin.
 
     Row k holds chi(t_l | t_k) = sqrt(gamma) exp(-gamma (t_l - t_k) / 2) for
@@ -294,7 +284,7 @@ class JointTimeDistribution:
         if np.any(table < 0.0):
             raise NumericsError("joint time table has negative mass")
         total = float(table.sum())
-        if abs(total - 1.0) > DEFAULT_POLICY.profile_norm_tol:
+        if abs(total - 1.0) > PROFILE_NORM_TOL:
             raise NumericsError(f"joint time table not normalized: total {total:.8f}")
         if self.kind not in ("SL", "TL"):
             raise ValueError(f"kind must be 'SL' or 'TL', got {self.kind!r}")

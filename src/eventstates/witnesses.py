@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .event_states import EventState
-from .policy import DEFAULT_POLICY, NumericPolicy, ScenarioError
+from .policy import COHERENCE_FLOOR_BITS, TIME_CORRELATION_FLOOR, ScenarioError
 from .quantum_core import relative_entropy_of_coherence
 from .timing import JointTimeDistribution
 
@@ -50,7 +50,7 @@ class WitnessReport:
     verdict: str
 
 
-def record_coherence(state: EventState, *, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def record_coherence(state: EventState) -> float:
     """Coherence (in bits) the record state carries in the record basis.
 
     Measured as the entropy gained by dephasing in the joint record basis.
@@ -58,18 +58,18 @@ def record_coherence(state: EventState, *, policy: NumericPolicy = DEFAULT_POLIC
     """
     if state.timers is not None:
         raise ScenarioError("trace out the timer registers first")
-    return relative_entropy_of_coherence(state.rho, basis=None, policy=policy)
+    return relative_entropy_of_coherence(state.rho, basis=None)
 
 
-def coherence_witness(state: EventState, *, policy: NumericPolicy = DEFAULT_POLICY) -> WitnessReport:
-    """Flag a record state whose coherence exceeds the policy floor.
+def coherence_witness(state: EventState) -> WitnessReport:
+    """Flag a record state whose coherence exceeds ``COHERENCE_FLOOR_BITS``.
 
     Independent pairs build diagonal record states, so any coherence above
     rounding noise certifies that the second event acted on the first
     event's output rather than on an independent system.
     """
-    value = record_coherence(state, policy=policy)
-    verdict = VERDICT_SIGNATURE if value > policy.coherence_floor_bits else VERDICT_CLEAR
+    value = record_coherence(state)
+    verdict = VERDICT_SIGNATURE if value > COHERENCE_FLOOR_BITS else VERDICT_CLEAR
     return WitnessReport(witness="record-coherence", value=value, verdict=verdict)
 
 
@@ -101,15 +101,15 @@ def time_correlation(dist: JointTimeDistribution) -> float:
     return mixed - float(pa @ ta) * float(pb @ ta)
 
 
-def time_witness(dist: JointTimeDistribution, *, policy: NumericPolicy = DEFAULT_POLICY) -> WitnessReport:
-    """Flag a joint firing-time table whose covariance clears the policy floor.
+def time_witness(dist: JointTimeDistribution) -> WitnessReport:
+    """Flag a joint firing-time table whose covariance clears ``TIME_CORRELATION_FLOOR``.
 
     Independent detectors with separable timing produce a product table and
     hence zero covariance; conditioning the second firing on the first leaves
     a covariance of definite sign.
     """
     value = time_correlation(dist)
-    verdict = VERDICT_SIGNATURE if abs(value) > policy.time_correlation_floor else VERDICT_CLEAR
+    verdict = VERDICT_SIGNATURE if abs(value) > TIME_CORRELATION_FLOOR else VERDICT_CLEAR
     return WitnessReport(witness="time-correlation", value=value, verdict=verdict)
 
 

@@ -1,3 +1,6 @@
+# The package goes first: its EVENTSTATE_NUM_THREADS bridge only reaches the
+# BLAS thread pools if it runs before numpy is imported.
+import eventstates  # noqa: F401
 import numpy as np
 import pytest
 

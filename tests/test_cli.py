@@ -59,6 +59,88 @@ def test_malformed_scenario_exits_two(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+_PLAIN_TL = {
+    "kind": "TL",
+    "initial": {"ket": {"re": [0.6, 0.8], "im": [0.0, 0.0]}},
+    "basisA": "Sz",
+    "basisB": "Sx",
+}
+_ZERO_H = {"dim": 2, "re": [[0.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+_GRID4 = {"dt": 0.5, "n_bins": 4}
+
+
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        (dict(_PLAIN_TL, basisA={"theta": 0.3, "labels": [1.0, 1.0]}), "basisA"),
+        (
+            dict(
+                _PLAIN_TL,
+                hamiltonian=_ZERO_H,
+                timing={
+                    "grid": _GRID4,
+                    "profileA": {"type": "delta", "bin": 9},
+                    "profileB": {"type": "delta", "conditional": True, "lag_bins": 0},
+                },
+            ),
+            "timing.profileA",
+        ),
+        (
+            dict(
+                _PLAIN_TL,
+                initial={"density": {"dim": 2, "re": [[0.5, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}},
+            ),
+            "initial.density",
+        ),
+        (
+            dict(
+                _PLAIN_TL,
+                hamiltonian=_ZERO_H,
+                timing={
+                    "grid": _GRID4,
+                    "profileA": {"type": "exponential"},
+                    "profileB": {"type": "exponential", "gamma": 1.0, "conditional": True},
+                },
+            ),
+            "timing.profileA",
+        ),
+        (dict(_PLAIN_TL, initial={"ket": {"re": [float("nan"), 1.0], "im": [0.0, 0.0]}}), "initial.ket"),
+    ],
+    ids=["duplicate-labels", "delta-bin-off-grid", "ragged-re", "exponential-no-gamma", "nan-ket"],
+)
+def test_malformed_fields_exit_two_with_one_line(capsys, tmp_path, scenario, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = _run(capsys, "validate", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {field}:")
+    assert "Traceback" not in err
+
+
+def test_validate_rejects_what_build_rejects(capsys, tmp_path):
+    # an SL timing block without per-factor generators cannot be time averaged
+    scenario = {
+        "kind": "SL",
+        "initial": {"ket": {"re": [0.6, 0.0, 0.0, 0.8], "im": [0.0, 0.0, 0.0, 0.0]}},
+        "basisA": "Sz",
+        "basisB": "Sx",
+        "timing": {
+            "grid": _GRID4,
+            "profileA": {"type": "delta", "bin": 0},
+            "profileB": {"type": "delta", "bin": 1},
+        },
+    }
+    path = tmp_path / "sl_timing.json"
+    path.write_text(json.dumps(scenario))
+    code, _, build_err = _run(capsys, "build", str(path))
+    assert code == 2
+    code, out, err = _run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == build_err
+
+
 def test_broken_state_file_exits_three(capsys, tmp_path):
     state = build_tl_instant(random_tl_scenario(rng_for(3)))
     path = tmp_path / "state.json"

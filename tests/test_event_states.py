@@ -178,7 +178,7 @@ def test_scenario_validation_catches_structure_errors():
         )
     with pytest.raises(NumericsError):
         EventScenario(kind="TL", initial=ket2, basis_a=sz, basis_b=sz, evolution=np.diag([1.0, 0.5]))
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match="hamiltonian is not Hermitian"):
         EventScenario(kind="TL", initial=ket2, basis_a=sz, basis_b=sz, hamiltonian=np.array([[0, 1], [0, 0]]))
 
 

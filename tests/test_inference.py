@@ -352,6 +352,35 @@ def test_some_first_basis_always_works_for_qubits(seed):
         kind="TL", initial=psi0, basis_a=result.basis, basis_b=basis_b, evolution=u
     )
     assert determinism_check(build_tl_instant(rebuilt)).deterministic
+    axis = _bloch_vector(projector(result.basis.kets[0]))
+    assert abs(axis @ _bloch_vector(projector(psi0))) <= 1e-12
+
+
+def test_closed_form_basis_is_exact_on_random_qubits():
+    worst = 0.0
+    for seed in range(2000):
+        rng = rng_for(seed)
+        psi0 = random_ket(rng, 2)
+        u = random_unitary(rng, 2)
+        basis_b = random_basis(rng, 2)
+        worst = max(worst, find_deterministic_basis(psi0, u, basis_b).residual)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "psi0, theta, phi",
+    [
+        (np.array([1.0, 0.0]), np.pi / 2, 0.0),  # r = +z: the whole equator works
+        (np.array([0.0, 1.0]), np.pi / 2, 0.0),  # r = -z
+        (PLUS, 0.0, 0.0),  # r = +x: the z axis itself works
+        (np.array([1.0, 1.0j]) / np.sqrt(2.0), 0.0, 0.0),  # r = +y
+    ],
+)
+def test_basis_search_tie_rule(psi0, theta, phi):
+    result = find_deterministic_basis(psi0, None, MeasurementModel.sx())
+    assert result.found
+    assert result.theta == pytest.approx(theta, abs=1e-12)
+    assert result.phi == pytest.approx(phi, abs=1e-12)
 
 
 def test_basis_search_input_checks():
