@@ -295,6 +295,15 @@ def _evolution_family(hamiltonian: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return np.einsum("ij,mj,kj->mik", vecs, phases, vecs.conj())
 
 
+def _block_diagonal_in_b(blocks: np.ndarray) -> np.ndarray:
+    """Assemble sum_b blocks[b] (x) |b><b| on record_a x record_b."""
+    db, da = blocks.shape[:2]
+    out = np.zeros((da, db, da, db), dtype=complex)
+    idx = np.arange(db)
+    out[:, idx, :, idx] = blocks
+    return out.reshape(da * db, da * db)
+
+
 def build_sl_instant(scenario: EventScenario) -> EventState:
     """Record state for two independent measurements read out sharply.
 
@@ -329,12 +338,10 @@ def build_tl_instant(scenario: EventScenario) -> EventState:
     u = scenario.evolution if scenario.evolution is not None else np.eye(d, dtype=complex)
     rho_a = scenario.basis_a.kets.conj() @ rho_s @ scenario.basis_a.kets.T
     hops = _record_matrix(scenario.basis_b, u, scenario.basis_a)
-    out = np.zeros((d, d, d, d), dtype=complex)
-    for b in range(d):
-        out[:, b, :, b] = hops[b, :, None] * rho_a * hops[b, None, :].conj()
+    blocks = hops[:, :, None] * rho_a * hops[:, None, :].conj()
     return EventState(
         kind="TL",
-        rho=out.reshape(d * d, d * d),
+        rho=_block_diagonal_in_b(blocks),
         basis_a=scenario.basis_a,
         basis_b=scenario.basis_b,
     )
@@ -418,7 +425,6 @@ def build_tl_fuzzy(scenario: EventScenario) -> EventState:
         raise ScenarioError("scenario does not describe ordered events")
     timing = _require_timing(scenario)
     check_buildable(scenario)
-    d = scenario.basis_a.dim
     grid = timing.grid
     dt = grid.dt
     n = grid.n_bins
@@ -445,13 +451,9 @@ def build_tl_fuzzy(scenario: EventScenario) -> EventState:
     summed = np.einsum("kg,kaA->gaA", lag_w, rho_rec)
     hops = np.einsum("bi,gij,aj->gba", kb.conj(), ufam, ka)
     blocks = np.einsum("gba,gaA,gbA->baA", hops, summed, hops.conj())
-
-    out = np.zeros((d, d, d, d), dtype=complex)
-    for b in range(d):
-        out[:, b, :, b] = blocks[b]
     return EventState(
         kind="TL",
-        rho=out.reshape(d * d, d * d),
+        rho=_block_diagonal_in_b(blocks),
         basis_a=scenario.basis_a,
         basis_b=scenario.basis_b,
     )
@@ -474,24 +476,21 @@ def _timed_amplitudes(scenario: EventScenario) -> np.ndarray:
     return amp / np.sqrt(np.sum(np.abs(amp) ** 2))
 
 
-def _project_a(ket_a: np.ndarray, vec2: np.ndarray) -> np.ndarray:
-    """Apply |a><a| (x) identity to a vector reshaped as (da, db)."""
-    return ket_a[:, None] * (ket_a.conj() @ vec2)[None, :]
-
-
-def _project_b(ket_b: np.ndarray, vec2: np.ndarray) -> np.ndarray:
-    """Apply identity (x) |b><b| to a vector reshaped as (da, db)."""
-    return (vec2 @ ket_b.conj())[:, None] * ket_b[None, :]
-
-
 def build_timed_state(scenario: EventScenario) -> EventState:
     """Full record state over timer registers and detectors.
 
     Every grid bin becomes one basis state of each timer register, so the
     result lives on a space of dimension (n * da) * (n * db); the build is
-    refused above dimension 256.  Ordered pairs put the second firing at or
-    after the first; independent pairs cover both orders, with same-bin
-    firings carrying one grid cell of the continuum measure.
+    refused above dimension 256.  With Heisenberg projectors
+    P(t) = U(t)^dagger P U(t), U(t) = exp(-i H (t - t0)), the row for "first
+    outcome a at bin k, second outcome b at bin l" is the time-ordered
+    product applied to each initial ket psi, scaled by the cell amplitude:
+    P_b(t_l) P_a(t_k) psi when l >= k and P_a(t_k) P_b(t_l) psi when l < k.
+    The state is sum_w w R R^dagger over the pure components of the initial
+    state.  Ordered pairs never use the second form, since their
+    conditional amplitudes vanish below the diagonal; independent pairs
+    cover both orders, with same-bin firings (where the two projectors
+    commute) carrying one grid cell of the continuum measure.
     """
     timing = _require_timing(scenario)
     grid = timing.grid
@@ -502,68 +501,31 @@ def build_timed_state(scenario: EventScenario) -> EventState:
         raise ScenarioError(
             f"timer-register state would be {total}-dimensional; the bound is {TIMED_DIM_BOUND}"
         )
-    times = grid.times
-    amp = _timed_amplitudes(scenario)
     ka, kb = scenario.basis_a.kets, scenario.basis_b.kets
-
+    proj_a = np.einsum("ai,aj->aij", ka, ka.conj())
+    proj_b = np.einsum("bi,bj->bij", kb, kb.conj())
     if scenario.kind == "TL":
-        d = da
-        ham = scenario.hamiltonian if scenario.hamiltonian is not None else np.zeros((d, d))
+        ham = scenario.hamiltonian if scenario.hamiltonian is not None else np.zeros((da, da))
     else:
+        proj_a = np.kron(proj_a, np.eye(db))
+        proj_b = np.kron(np.eye(da), proj_b)
         if scenario.hamiltonian is not None:
             ham = scenario.hamiltonian
         else:
             ha = scenario.hamiltonian_a if scenario.hamiltonian_a is not None else np.zeros((da, da))
             hb = scenario.hamiltonian_b if scenario.hamiltonian_b is not None else np.zeros((db, db))
             ham = np.kron(ha, np.eye(db)) + np.kron(np.eye(da), hb)
-    vals, vecs = np.linalg.eigh(np.asarray(ham, dtype=complex))
-    lag_u = _evolution_family(ham, np.arange(n) * grid.dt)
-    # Phases absorbing the common evolution after the later firing; only
-    # phase differences between cells survive in the assembled state.
-    late_phase = np.exp(1j * np.outer(times - grid.t0, vals))
+    u = _evolution_family(ham, grid.times - grid.t0)[:, None]
+    heis_a, heis_b = (u.conj().swapaxes(-1, -2) @ proj @ u for proj in (proj_a, proj_b))
+    bins = np.arange(n)
+    later = (bins[None, :] >= bins[:, None])[:, None, :, None, None]
+    amp = _timed_amplitudes(scenario)[:, None, :, None, None]
 
-    ds = ham.shape[0]
     rho = np.zeros((total, total), dtype=complex)
-    for weight, psi0 in scenario.initial_kets():
-        rows = np.zeros((total, ds), dtype=complex)
-        psi_at = np.einsum("gij,j->gi", lag_u, psi0)
-        for k in range(n):
-            for l in range(n):
-                if amp[k, l] == 0.0:
-                    continue
-                if scenario.kind == "TL":
-                    if l < k:
-                        continue
-                    first = psi_at[k]
-                    for a in range(d):
-                        c1 = ka[a].conj() @ first
-                        if c1 == 0.0:
-                            continue
-                        mid = lag_u[l - k] @ ka[a]
-                        for b in range(d):
-                            c2 = kb[b].conj() @ mid
-                            vec = (c1 * c2) * kb[b]
-                            row = ((k * da + a) * n + l) * db + b
-                            rows[row] = amp[k, l] * late_phase[l] * (vecs.conj().T @ vec)
-                else:
-                    early, late = min(k, l), max(k, l)
-                    base = psi_at[early].reshape(da, db)
-                    for a in range(da):
-                        for b in range(db):
-                            if k == l:
-                                vec2 = _project_b(kb[b], _project_a(ka[a], base))
-                            elif l > k:
-                                vec2 = _project_b(
-                                    kb[b],
-                                    (lag_u[l - k] @ _project_a(ka[a], base).reshape(ds)).reshape(da, db),
-                                )
-                            else:
-                                vec2 = _project_a(
-                                    ka[a],
-                                    (lag_u[k - l] @ _project_b(kb[b], base).reshape(ds)).reshape(da, db),
-                                )
-                            row = ((k * da + a) * n + l) * db + b
-                            rows[row] = amp[k, l] * late_phase[late] * (vecs.conj().T @ vec2.reshape(ds))
+    for weight, psi in scenario.initial_kets():
+        forward = np.einsum("lbij,kaj->kalbi", heis_b, heis_a @ psi)
+        backward = np.einsum("kaij,lbj->kalbi", heis_a, heis_b @ psi)
+        rows = (amp * np.where(later, forward, backward)).reshape(total, -1)
         rho += weight * (rows @ rows.conj().T)
     return EventState(
         kind=scenario.kind,
@@ -656,11 +618,8 @@ def conditional_decomposition(state: EventState) -> ConditionalDecomposition:
         raise ScenarioError("trace out the timer registers first")
     da, db = state.dims
     four = state.rho.reshape(da, db, da, db)
-    cross = 0.0
-    for b in range(db):
-        for b2 in range(db):
-            if b != b2:
-                cross = max(cross, float(np.max(np.abs(four[:, b, :, b2]))))
+    off_diagonal = ~np.eye(db, dtype=bool)
+    cross = float(np.max(np.max(np.abs(four), axis=(0, 2))[off_diagonal], initial=0.0))
     if cross > HERMITICITY_TOL:
         raise NumericsError(
             f"state carries coherence between second-record values (max {cross:.3e}); "
@@ -711,10 +670,8 @@ def conditional_decomposition(state: EventState) -> ConditionalDecomposition:
 
 def reconstruct_from_decomposition(decomp: ConditionalDecomposition, da: int) -> np.ndarray:
     """Reassemble sum_b p_b sigma_b (x) |b><b| from a decomposition."""
-    db = decomp.n_outcomes
-    out = np.zeros((da, db, da, db), dtype=complex)
-    for b, sigma in enumerate(decomp.conditionals):
-        if sigma is None:
-            continue
-        out[:, b, :, b] = decomp.probs[b] * sigma
-    return out.reshape(da * db, da * db)
+    blocks = [
+        np.zeros((da, da)) if sigma is None else p * sigma
+        for p, sigma in zip(decomp.probs, decomp.conditionals)
+    ]
+    return _block_diagonal_in_b(np.array(blocks))

@@ -301,6 +301,8 @@ class MeasurementModel:
             raise ValueError(f"basis kets must form a square matrix, got {kets.shape}")
         if labels.shape != (kets.shape[0],):
             raise ValueError("one label per basis ket required")
+        if not np.all(np.isfinite(labels)):
+            raise ValueError("outcome labels must be finite")
         gram = kets.conj() @ kets.T
         defect = float(np.max(np.abs(gram - np.eye(kets.shape[0]))))
         if defect > ORTHO_TOL:

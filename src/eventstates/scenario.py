@@ -63,6 +63,14 @@ class ScenarioFile:
     source: str
 
 
+def _finite(value, field: str, key: str) -> float:
+    """``float(value)``, refusing the NaN and infinities that JSON parsing lets through."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ScenarioError(f"{field}: {key} must be a finite number, got {x}")
+    return x
+
+
 def _rotation_unitary(axis: str, angle: float) -> np.ndarray:
     sigma = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}[axis]
     return np.cos(angle / 2.0) * np.eye(2, dtype=complex) - 1j * np.sin(angle / 2.0) * sigma
@@ -70,7 +78,7 @@ def _rotation_unitary(axis: str, angle: float) -> np.ndarray:
 
 def _parse_unitary(data: dict, name: str) -> np.ndarray:
     if "axis" in data:
-        return _rotation_unitary(data["axis"], float(data["angle"]))
+        return _rotation_unitary(data["axis"], _finite(data["angle"], name, "angle"))
     return operator_from_json(data, name=name)
 
 
@@ -86,10 +94,10 @@ def _parse_basis(data, name: str) -> MeasurementModel:
         return _NAMED_BASES[data]()
     if "theta" in data:
         labels = data.get("labels", (1.0, -1.0))
+        theta = _finite(data["theta"], name, "theta")
+        phi = _finite(data.get("phi", 0.0), name, "phi")
         try:
-            return MeasurementModel.from_axis_angle(
-                float(data["theta"]), float(data.get("phi", 0.0)), labels=labels
-            )
+            return MeasurementModel.from_axis_angle(theta, phi, labels=labels)
         except ValueError as exc:
             raise ScenarioError(f"{name}: {exc}") from exc
     return basis_from_json(data, name=name)
@@ -115,7 +123,7 @@ def _parse_profile(data: dict, grid: TimeGrid, name: str) -> TimingProfile:
         if "gamma" not in data:
             raise ScenarioError(f"{name}: an exponential profile needs 'gamma'")
         maker = exponential_conditional if conditional else exponential_profile
-        return maker(float(data["gamma"]), grid)
+        return maker(_finite(data["gamma"], name, "gamma"), grid)
     if conditional:
         return delta_conditional(grid, int(data.get("lag_bins", 0)))
     try:
@@ -126,7 +134,11 @@ def _parse_profile(data: dict, grid: TimeGrid, name: str) -> TimingProfile:
 
 def _parse_timing(data: dict) -> EventTiming:
     spec = data["grid"]
-    grid = TimeGrid(t0=float(spec.get("t0", 0.0)), dt=float(spec["dt"]), n_bins=int(spec["n_bins"]))
+    grid = TimeGrid(
+        t0=_finite(spec.get("t0", 0.0), "timing.grid", "t0"),
+        dt=_finite(spec["dt"], "timing.grid", "dt"),
+        n_bins=int(spec["n_bins"]),
+    )
     if "joint" in data:
         return EventTiming(
             joint_amplitudes=_parts_to_array(data["joint"], "timing.joint"), joint_grid=grid
@@ -173,9 +185,9 @@ def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
         if scenario.kind != "SL":
             raise ScenarioError(f"{source}: CHSH settings only apply to independent pairs")
         block = data["chsh"]
-        chsh_angles = (
-            tuple(math.radians(float(x)) for x in block["anglesA"]),
-            tuple(math.radians(float(x)) for x in block["anglesB"]),
+        chsh_angles = tuple(
+            tuple(math.radians(_finite(x, "chsh", key)) for x in block[key])
+            for key in ("anglesA", "anglesB")
         )
     return ScenarioFile(scenario=scenario, chsh_angles=chsh_angles, source=source)
 

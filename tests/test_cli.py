@@ -105,8 +105,57 @@ _GRID4 = {"dt": 0.5, "n_bins": 4}
             "timing.profileA",
         ),
         (dict(_PLAIN_TL, initial={"ket": {"re": [float("nan"), 1.0], "im": [0.0, 0.0]}}), "initial.ket"),
+        (dict(_PLAIN_TL, basisA={"theta": float("nan")}), "basisA"),
+        (dict(_PLAIN_TL, basisA={"theta": 0.3, "labels": [float("nan"), 1.0]}), "basisA"),
+        (dict(_PLAIN_TL, evolution={"axis": "x", "angle": float("inf")}), "evolution"),
+        (
+            dict(
+                _PLAIN_TL,
+                hamiltonian=_ZERO_H,
+                timing={
+                    "grid": {"dt": float("nan"), "n_bins": 4},
+                    "profileA": {"type": "delta", "bin": 0},
+                    "profileB": {"type": "delta", "conditional": True, "lag_bins": 0},
+                },
+            ),
+            "timing.grid",
+        ),
+        (
+            dict(
+                _PLAIN_TL,
+                hamiltonian=_ZERO_H,
+                timing={
+                    "grid": _GRID4,
+                    "profileA": {"type": "exponential", "gamma": float("nan")},
+                    "profileB": {"type": "exponential", "gamma": 1.0, "conditional": True},
+                },
+            ),
+            "timing.profileA",
+        ),
+        (
+            {
+                "kind": "SL",
+                "initial": {"ket": {"re": [0.6, 0.0, 0.0, 0.8], "im": [0.0, 0.0, 0.0, 0.0]}},
+                "basisA": "Sz",
+                "basisB": "Sx",
+                "chsh": {"anglesA": [float("nan"), 0.0], "anglesB": [45.0, 90.0]},
+            },
+            "chsh",
+        ),
     ],
-    ids=["duplicate-labels", "delta-bin-off-grid", "ragged-re", "exponential-no-gamma", "nan-ket"],
+    ids=[
+        "duplicate-labels",
+        "delta-bin-off-grid",
+        "ragged-re",
+        "exponential-no-gamma",
+        "nan-ket",
+        "nan-axis-theta",
+        "nan-axis-label",
+        "infinite-rotation-angle",
+        "nan-grid-dt",
+        "nan-gamma",
+        "nan-chsh-angle",
+    ],
 )
 def test_malformed_fields_exit_two_with_one_line(capsys, tmp_path, scenario, field):
     path = tmp_path / "bad.json"
@@ -116,6 +165,9 @@ def test_malformed_fields_exit_two_with_one_line(capsys, tmp_path, scenario, fie
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {field}:")
     assert "Traceback" not in err
+    # the commands that build or analyse the scenario stop at the same line
+    for command in ("build", "chsh") if scenario["kind"] == "SL" else ("build",):
+        assert _run(capsys, command, str(path)) == (2, "", err)
 
 
 def test_validate_rejects_what_build_rejects(capsys, tmp_path):

@@ -466,6 +466,75 @@ def test_timed_sl_orderings_match_projection_oracle():
     np.testing.assert_allclose(table, expect, atol=1e-10)
 
 
+def _timed_state_oracle(sc: EventScenario) -> np.ndarray:
+    """Schrodinger-picture timer-register state, one expm per evolution leg."""
+    grid = sc.timing.grid
+    n, dt = grid.n_bins, grid.dt
+    da, db = sc.dims
+    ham = sc.hamiltonian
+    proj_a = [np.outer(k, k.conj()) for k in sc.basis_a.kets]
+    proj_b = [np.outer(k, k.conj()) for k in sc.basis_b.kets]
+    if sc.kind == "SL":
+        proj_a = [np.kron(p, np.eye(db)) for p in proj_a]
+        proj_b = [np.kron(np.eye(da), p) for p in proj_b]
+        cells = dt * sc.timing.joint_amplitudes
+    else:
+        cells = dt * sc.timing.profile_a.amplitudes[:, None] * sc.timing.profile_b.amplitudes
+    cells = cells / np.sqrt(np.sum(np.abs(cells) ** 2))
+    taus = grid.times - grid.t0
+    vals, vecs = np.linalg.eigh(sc.initial_density())
+    rho = np.zeros((n * da * n * db,) * 2, dtype=complex)
+    for weight, psi in zip(vals, vecs.T):
+        rows = []
+        for k in range(n):
+            for a in range(da):
+                for l in range(n):
+                    for b in range(db):
+                        early, late = sorted((taus[k], taus[l]))
+                        first, second = (proj_a[a], proj_b[b]) if l >= k else (proj_b[b], proj_a[a])
+                        vec = (
+                            expm(-1j * ham * late).conj().T
+                            @ second
+                            @ expm(-1j * ham * (late - early))
+                            @ first
+                            @ expm(-1j * ham * early)
+                            @ psi
+                        )
+                        rows.append(cells[k, l] * vec)
+        rows = np.array(rows)
+        rho += weight * (rows @ rows.conj().T)
+    return rho
+
+
+def test_timed_state_matches_schrodinger_oracle():
+    # a rank-2 initial state takes the pure-decomposition sum over two kets
+    rng = rng_for(36)
+    grid = TimeGrid(t0=0.3, dt=0.25, n_bins=8)
+    tl = EventScenario(
+        kind="TL", initial=random_density(rng, 2), basis_a=random_basis(rng, 2),
+        basis_b=random_basis(rng, 2), hamiltonian=random_hermitian(rng, 2),
+        timing=EventTiming(
+            profile_a=random_marginal_profile(rng, grid),
+            profile_b=random_conditional_profile(rng, grid),
+        ),
+    )
+    assert len(tl.initial_kets()) == 2
+    np.testing.assert_allclose(build_timed_state(tl).rho, _timed_state_oracle(tl), atol=1e-10)
+
+    # a joint generator and a joint table put weight on l < k, l == k and l > k
+    grid = TimeGrid(t0=-0.2, dt=0.3, n_bins=3)
+    sl = EventScenario(
+        kind="SL", initial=random_density(rng, 4, rank=2), basis_a=random_basis(rng, 2),
+        basis_b=random_basis(rng, 2), hamiltonian=random_hermitian(rng, 4),
+        timing=EventTiming(
+            joint_amplitudes=rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),
+            joint_grid=grid,
+        ),
+    )
+    assert len(sl.initial_kets()) == 2
+    np.testing.assert_allclose(build_timed_state(sl).rho, _timed_state_oracle(sl), atol=1e-10)
+
+
 def test_timed_dimension_bound():
     rng = rng_for(34)
     grid = TimeGrid(t0=0.0, dt=0.1, n_bins=9)  # (9*2)*(9*2) = 324 > 256
