@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .event_states import EventScenario, EventState, outcome_probabilities
-from .policy import ScenarioError
+from .policy import TSIRELSON_SLACK, ScenarioError
 from .quantum_core import MeasurementModel
 
 __all__ = [
@@ -65,7 +65,7 @@ def _check_family(states: Sequence[EventState]) -> None:
                 raise ScenarioError("CHSH needs two-outcome records labeled +1 and -1")
 
 
-def chsh_value(states: Sequence[EventState], *, slack: float = 1e-9) -> ChshReport:
+def chsh_value(states: Sequence[EventState]) -> ChshReport:
     """CHSH combination of four two-setting record states.
 
     States must arrive in the order (a, b), (a, b'), (a', b), (a', b').
@@ -74,7 +74,7 @@ def chsh_value(states: Sequence[EventState], *, slack: float = 1e-9) -> ChshRepo
     corr = np.array([event_correlator(s) for s in states])
     value = float(abs(corr[0] + corr[1] + corr[2] - corr[3]))
     return ChshReport(
-        correlators=corr, value=value, tsirelson_ok=value <= TSIRELSON_BOUND + slack
+        correlators=corr, value=value, tsirelson_ok=value <= TSIRELSON_BOUND + TSIRELSON_SLACK
     )
 
 

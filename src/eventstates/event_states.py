@@ -26,8 +26,10 @@ from typing import Literal
 import numpy as np
 
 from .policy import (
+    EIGENVALUE_FLOOR,
     EMPTY_BLOCK_FLOOR,
     HERMITICITY_TOL,
+    PHASE_SUPPORT_FLOOR,
     PURE_BLOCK_TOL,
     NumericsError,
     ScenarioError,
@@ -241,15 +243,16 @@ class EventScenario:
             rho = prep @ rho @ prep.conj().T
         return rho
 
+    def _initial_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights and kets (columns) of the pure components of the prepared initial state."""
+        vals, vecs = np.linalg.eigh(self.initial_density())
+        keep = vals > EIGENVALUE_FLOOR
+        return vals[keep], vecs[:, keep]
+
     def initial_kets(self) -> list[tuple[float, np.ndarray]]:
         """Pure decomposition of the (prepared) initial state as (weight, ket) pairs."""
-        rho = self.initial_density()
-        vals, vecs = np.linalg.eigh(rho)
-        return [
-            (float(w), np.array(vecs[:, i]))
-            for i, w in enumerate(vals)
-            if w > 1e-14
-        ]
+        vals, vecs = self._initial_spectrum()
+        return [(float(w), np.array(ket)) for w, ket in zip(vals, vecs.T)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,17 +397,13 @@ def build_sl_fuzzy(scenario: EventScenario) -> EventState:
     wa /= wa.sum()
     wb = np.abs(timing.profile_b.amplitudes) ** 2 * dt
     wb /= wb.sum()
-    ka, kb = scenario.basis_a.kets, scenario.basis_b.kets
-
-    probs = np.zeros((da, db))
-    for weight, ket in scenario.initial_kets():
-        psi = ket.reshape(da, db)
-        t1 = np.einsum("ai,kij,jn->kan", ka.conj(), ua, psi)
-        t2 = np.einsum("bj,ljJ->lbJ", kb.conj(), ub)
-        fa = np.einsum("k,kaj,kaJ->ajJ", wa, t1, t1.conj())
-        gb = np.einsum("l,lbj,lbJ->bjJ", wb, t2, t2.conj())
-        probs += weight * np.real(np.einsum("ajJ,bjJ->ab", fa, gb))
-    probs = np.clip(probs, 0.0, None)
+    # fa[a] = sum_k wa_k U_a(tau_k)^dagger |a><a| U_a(tau_k), and fb alike.
+    ta = np.einsum("ai,kij->kaj", scenario.basis_a.kets.conj(), ua)
+    tb = np.einsum("bi,kij->kbj", scenario.basis_b.kets.conj(), ub)
+    fa = np.einsum("k,kaj,kaJ->ajJ", wa, ta, ta.conj())
+    fb = np.einsum("k,kbn,kbN->bnN", wb, tb, tb.conj())
+    rho = scenario.initial_density().reshape(da, db, da, db)
+    probs = np.clip(np.real(np.einsum("ajJ,bnN,jnJN->ab", fa, fb, rho)), 0.0, None)
     return EventState(
         kind="SL",
         rho=np.diag(probs.reshape(da * db)).astype(complex),
@@ -446,8 +445,8 @@ def build_tl_fuzzy(scenario: EventScenario) -> EventState:
     # Regroup the double time sum by lag g = l - k: the inter-event evolution
     # depends on the lag alone on a uniform grid.
     lag_w = np.zeros((n, n))
-    for g in range(n):
-        lag_w[: n - g, g] = joint_w[np.arange(n - g), np.arange(g, n)]
+    k, l = np.triu_indices(n)
+    lag_w[k, l - k] = joint_w[k, l]
     summed = np.einsum("kg,kaA->gaA", lag_w, rho_rec)
     hops = np.einsum("bi,gij,aj->gba", kb.conj(), ufam, ka)
     blocks = np.einsum("gba,gaA,gbA->baA", hops, summed, hops.conj())
@@ -486,9 +485,10 @@ def build_timed_state(scenario: EventScenario) -> EventState:
     outcome a at bin k, second outcome b at bin l" is the time-ordered
     product applied to each initial ket psi, scaled by the cell amplitude:
     P_b(t_l) P_a(t_k) psi when l >= k and P_a(t_k) P_b(t_l) psi when l < k.
-    The state is sum_w w R R^dagger over the pure components of the initial
-    state.  Ordered pairs never use the second form, since their
-    conditional amplitudes vanish below the diagonal; independent pairs
+    With one column per pure component w of the initial state, scaled by
+    sqrt(w), the rows form one factor R and the state is R R^dagger.
+    Ordered pairs never use the second form, since their conditional
+    amplitudes vanish below the diagonal; independent pairs
     cover both orders, with same-bin firings (where the two projectors
     commute) carrying one grid cell of the continuum measure.
     """
@@ -518,18 +518,17 @@ def build_timed_state(scenario: EventScenario) -> EventState:
     u = _evolution_family(ham, grid.times - grid.t0)[:, None]
     heis_a, heis_b = (u.conj().swapaxes(-1, -2) @ proj @ u for proj in (proj_a, proj_b))
     bins = np.arange(n)
-    later = (bins[None, :] >= bins[:, None])[:, None, :, None, None]
-    amp = _timed_amplitudes(scenario)[:, None, :, None, None]
-
-    rho = np.zeros((total, total), dtype=complex)
-    for weight, psi in scenario.initial_kets():
-        forward = np.einsum("lbij,kaj->kalbi", heis_b, heis_a @ psi)
-        backward = np.einsum("kaij,lbj->kalbi", heis_a, heis_b @ psi)
-        rows = (amp * np.where(later, forward, backward)).reshape(total, -1)
-        rho += weight * (rows @ rows.conj().T)
+    later = (bins[None, :] >= bins[:, None])[:, None, :, None, None, None]
+    amp = _timed_amplitudes(scenario)[:, None, :, None, None, None]
+    # One column sqrt(w) psi_w per pure component w of the initial state.
+    weights, kets = scenario._initial_spectrum()
+    psi = kets * np.sqrt(weights)
+    forward = np.einsum("lbij,kajw->kalbiw", heis_b, heis_a @ psi)
+    backward = np.einsum("kaij,lbjw->kalbiw", heis_a, heis_b @ psi)
+    rows = (amp * np.where(later, forward, backward)).reshape(total, -1)
     return EventState(
         kind=scenario.kind,
-        rho=rho,
+        rho=rows @ rows.conj().T,
         basis_a=scenario.basis_a,
         basis_b=scenario.basis_b,
         timers=grid,
@@ -626,52 +625,43 @@ def conditional_decomposition(state: EventState) -> ConditionalDecomposition:
             "it does not decompose by that record"
         )
 
-    probs = np.zeros(db)
-    conditionals: list[np.ndarray | None] = []
-    for b in range(db):
-        block = four[:, b, :, b]
-        p = float(np.real(np.trace(block)))
-        if p < EMPTY_BLOCK_FLOOR:
-            probs[b] = 0.0
-            conditionals.append(None)
-            continue
-        probs[b] = p
-        sigma = block / p
-        conditionals.append(_readonly(0.5 * (sigma + sigma.conj().T)))
+    blocks = np.einsum("abAb->baA", four)
+    probs = np.real(np.einsum("baa->b", blocks))
+    live = probs >= EMPTY_BLOCK_FLOOR
+    probs = np.where(live, probs, 0.0)
+    sigmas = blocks / np.where(live, probs, 1.0)[:, None, None]
+    sigmas = 0.5 * (sigmas + sigmas.conj().swapaxes(-1, -2))
 
     lambdas: tuple | None = None
     if state.kind == "TL":
-        kets: list[np.ndarray | None] = []
-        all_pure = True
-        for sigma in conditionals:
-            if sigma is None:
-                kets.append(None)
-                continue
-            vals, vecs = np.linalg.eigh(sigma)
-            if abs(vals[-1] - 1.0) > PURE_BLOCK_TOL:
-                all_pure = False
-                break
-            ket = vecs[:, -1]
-            support = np.flatnonzero(np.abs(ket) > 1e-12)
-            lead = ket[support[0]]
-            ket = ket * (lead.conjugate() / abs(lead))
-            kets.append(_readonly(ket))
-        if all_pure:
-            lambdas = tuple(kets)
+        vals, vecs = np.linalg.eigh(sigmas)
+        if np.all(np.abs(vals[live, -1] - 1.0) <= PURE_BLOCK_TOL):
+            kets = vecs[..., -1]
+            first = np.argmax(np.abs(kets) > PHASE_SUPPORT_FLOOR, axis=1)
+            lead = np.take_along_axis(kets, first[:, None], axis=1)
+            lambdas = _per_outcome(kets * (lead.conj() / np.abs(lead)), live)
 
     return ConditionalDecomposition(
         kind=state.kind,
         probs=_readonly(probs),
-        conditionals=tuple(conditionals),
+        conditionals=_per_outcome(sigmas, live),
         lambdas=lambdas,
         labels_b=state.basis_b.labels,
     )
 
 
+def _per_outcome(rows: np.ndarray, live: np.ndarray) -> tuple:
+    """Read-only rows as a tuple, None in the place of outcomes that never fire."""
+    rows = _readonly(rows)
+    return tuple(row if ok else None for row, ok in zip(rows, live))
+
+
+def _conditional_stack(decomp: ConditionalDecomposition, da: int) -> np.ndarray:
+    """The conditionals as one (db, da, da) stack, zero where an outcome never fires."""
+    zero = np.zeros((da, da), dtype=complex)
+    return np.array([zero if sigma is None else sigma for sigma in decomp.conditionals])
+
+
 def reconstruct_from_decomposition(decomp: ConditionalDecomposition, da: int) -> np.ndarray:
     """Reassemble sum_b p_b sigma_b (x) |b><b| from a decomposition."""
-    blocks = [
-        np.zeros((da, da)) if sigma is None else p * sigma
-        for p, sigma in zip(decomp.probs, decomp.conditionals)
-    ]
-    return _block_diagonal_in_b(np.array(blocks))
+    return _block_diagonal_in_b(decomp.probs[:, None, None] * _conditional_stack(decomp, da))

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .event_states import EventState, conditional_decomposition
-from .policy import DETERMINISM_TOL, EMPTY_BLOCK_FLOOR, ScenarioError
+from .event_states import EventState, _conditional_stack, conditional_decomposition
+from .policy import DETERMINISM_TOL, EIGENVALUE_FLOOR, EMPTY_BLOCK_FLOOR, PRIOR_SUM_TOL, ScenarioError
 from .quantum_core import (
     MeasurementModel,
     bloch_pair,
@@ -80,7 +81,7 @@ def helstrom_success(
     Equals (1 + tracenorm(p1 rho1 - p2 rho2)) / 2, attained by measuring the
     sign of the weighted difference.  Priors must sum to 1.
     """
-    if p1 < 0.0 or p2 < 0.0 or abs(p1 + p2 - 1.0) > 1e-9:
+    if p1 < 0.0 or p2 < 0.0 or abs(p1 + p2 - 1.0) > PRIOR_SUM_TOL:
         raise ValueError(f"priors must be nonnegative and sum to 1, got {p1} and {p2}")
     gap = p1 * np.asarray(rho1, dtype=complex) - p2 * np.asarray(rho2, dtype=complex)
     gap = 0.5 * (gap + gap.conj().T)
@@ -99,7 +100,7 @@ def helstrom_pure(p1: float, ket1: np.ndarray, p2: float, ket2: np.ndarray) -> f
 
 def _sqrt_pinv(rho: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    inv = np.where(vals > 1e-14, 1.0 / np.sqrt(np.clip(vals, 1e-300, None)), 0.0)
+    inv = np.where(vals > EIGENVALUE_FLOOR, 1.0 / np.sqrt(np.clip(vals, 1e-300, None)), 0.0)
     return (vecs * inv) @ vecs.conj().T
 
 
@@ -126,43 +127,29 @@ def predict_future_outcome(state: EventState) -> PredictionReport:
     first-record conditionals with their outcome probabilities as priors.
     """
     decomp = conditional_decomposition(state)
-    da = state.dims[0]
-    zero = np.zeros((da, da), dtype=complex)
-    weighted = [
-        (float(p), decomp.conditionals[b] if decomp.conditionals[b] is not None else zero)
-        for b, p in enumerate(decomp.probs)
-    ]
-    live = [idx for idx, (p, _) in enumerate(weighted) if p > 0.0]
+    probs, sigmas = decomp.probs, decomp.conditionals
+    live = np.flatnonzero(probs > 0.0)
 
-    if len(live) <= 1:
-        return PredictionReport(success=1.0, exact=True, projector=None, pairwise=None)
-    if len(live) == 2:
-        (pa, sa), (pb, sb) = weighted[live[0]], weighted[live[1]]
+    def pair(i, j):
         # Other outcomes carry zero mass, so the two live priors sum to 1
         # up to the mass dropped with empty blocks.
-        scale = pa + pb
-        result = helstrom_success(pa / scale, sa, pb / scale, sb)
+        scale = probs[i] + probs[j]
+        return helstrom_success(probs[i] / scale, sigmas[i], probs[j] / scale, sigmas[j])
+
+    if live.size <= 1:
+        return PredictionReport(success=1.0, exact=True, projector=None, pairwise=None)
+    if live.size == 2:
+        result = pair(*live)
         return PredictionReport(
             success=result.success, exact=True, projector=result.projector, pairwise=None
         )
 
-    rho_bar = sum(p * sigma for p, sigma in weighted)
-    root = _sqrt_pinv(rho_bar)
-    success = 0.0
-    for p, sigma in weighted:
-        m = root @ (p * sigma) @ root
-        success += float(np.real(np.trace(m @ (p * sigma))))
-    n = len(weighted)
-    pairwise = np.full((n, n), np.nan)
-    for i in live:
-        for j in live:
-            if i < j:
-                pi, si = weighted[i]
-                pj, sj = weighted[j]
-                scale = pi + pj
-                pairwise[i, j] = pairwise[j, i] = helstrom_success(
-                    pi / scale, si, pj / scale, sj
-                ).success
+    weighted = probs[:, None, None] * _conditional_stack(decomp, state.dims[0])
+    root = _sqrt_pinv(weighted.sum(axis=0))
+    success = float(np.real(np.einsum("ij,bjk,kl,bli->", root, weighted, root, weighted)))
+    pairwise = np.full((probs.size, probs.size), np.nan)
+    for i, j in combinations(live, 2):
+        pairwise[i, j] = pairwise[j, i] = pair(i, j).success
     np.fill_diagonal(pairwise, 1.0)
     return PredictionReport(
         success=min(success, 1.0), exact=False, projector=None, pairwise=pairwise
@@ -246,7 +233,7 @@ def classical_correlation(
 
     thetas = np.linspace(0.0, np.pi, THETA_POINTS)
     phis = np.linspace(0.0, 2.0 * np.pi, PHI_POINTS, endpoint=False)
-    grid = np.array([bloch_pair(t, p) for t in thetas for p in phis])
+    grid = bloch_pair(thetas[:, None], phis).reshape(-1, 2, 2)
     values = _holevo_like(rho4, grid, entropy_b)
     best = int(np.argmax(values))
     best_value = float(values[best])
@@ -294,23 +281,14 @@ def determinism_check(state: EventState) -> DeterminismReport:
     """Decide whether the second outcome is perfectly encoded in the first record."""
     if state.kind != "TL":
         raise ScenarioError("determinism of the second outcome only applies to ordered pairs")
-    decomp = conditional_decomposition(state)
-    n = len(decomp.conditionals)
-    gram = np.zeros((n, n))
-    worst = 0.0
-    for i, si in enumerate(decomp.conditionals):
-        if si is None:
-            continue
-        gram[i, i] = np.sqrt(max(float(np.real(np.trace(si @ si))), 0.0))
-        for j in range(i + 1, n):
-            sj = decomp.conditionals[j]
-            if sj is None:
-                continue
-            overlap = float(np.real(np.trace(si @ sj)))
-            worst = max(worst, overlap)
-            gram[i, j] = gram[j, i] = np.sqrt(max(overlap, 0.0))
+    sigmas = _conditional_stack(conditional_decomposition(state), state.dims[0])
+    # Tr(sigma_b sigma_c) for Hermitian blocks; rows of empty outcomes are zero.
+    overlaps = np.real(np.einsum("bij,cij->bc", sigmas, sigmas.conj()))
+    worst = float(np.max(overlaps[~np.eye(len(sigmas), dtype=bool)], initial=0.0))
     return DeterminismReport(
-        deterministic=worst < DETERMINISM_TOL, max_overlap=worst, gram=gram
+        deterministic=worst < DETERMINISM_TOL,
+        max_overlap=worst,
+        gram=np.sqrt(np.clip(overlaps, 0.0, None)),
     )
 
 

@@ -41,3 +41,15 @@ PURE_BLOCK_TOL = 1e-10
 # Conditional states whose pairwise overlaps all fall below this count as
 # perfectly distinguishable.
 DETERMINISM_TOL = 1e-8
+# Eigenvalues at or below this count as zero (pure decompositions, pseudo-inverses).
+EIGENVALUE_FLOOR = 1e-14
+# A conditional ket's phase is fixed on its first entry above this magnitude.
+PHASE_SUPPORT_FLOOR = 1e-12
+# Two-hypothesis priors must sum to 1 within this.
+PRIOR_SUM_TOL = 1e-9
+# Slack on the Tsirelson bound and on the Chebyshev covariance-sign check.
+TSIRELSON_SLACK = 1e-9
+CHEBYSHEV_SLACK = 1e-9
+# Most bins (grid size or delta lag) a scenario file may ask for; a
+# conditional profile holds n_bins^2 complex amplitudes.
+MAX_GRID_BINS = 4096

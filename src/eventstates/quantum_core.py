@@ -86,12 +86,18 @@ def bloch_ket(theta: float, phi: float = 0.0) -> np.ndarray:
     return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex)
 
 
-def bloch_pair(theta: float, phi: float = 0.0) -> np.ndarray:
-    """Orthonormal qubit pair (rows): the ket at (theta, phi) and its antipode."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array(
-        [[c, np.exp(1j * phi) * s], [-np.exp(-1j * phi) * s, c]], dtype=complex
-    )
+def bloch_pair(theta: float | np.ndarray, phi: float | np.ndarray = 0.0) -> np.ndarray:
+    """Orthonormal qubit pair (rows): the ket at (theta, phi) and its antipode.
+
+    The angles broadcast against each other: array angles give a stack of
+    shape ``(..., 2, 2)`` over their broadcast shape, scalars one ``(2, 2)``
+    pair.
+    """
+    half = np.asarray(theta, dtype=float) / 2.0
+    c, s, phi = np.broadcast_arrays(np.cos(half), np.sin(half), np.asarray(phi, dtype=float))
+    top = np.stack([c, np.exp(1j * phi) * s], axis=-1)
+    bottom = np.stack([-np.exp(-1j * phi) * s, c], axis=-1)
+    return np.stack([top, bottom], axis=-2)
 
 
 def projector(ket: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import jsonschema
 import numpy as np
 
 from .event_states import EventScenario, EventTiming
-from .policy import ScenarioError
+from .policy import MAX_GRID_BINS, ScenarioError
 from .quantum_core import PAULI_X, PAULI_Y, PAULI_Z, MeasurementModel
 from .serialize import (
     _parts_to_array,
@@ -69,6 +69,13 @@ def _finite(value, field: str, key: str) -> float:
     if not math.isfinite(x):
         raise ScenarioError(f"{field}: {key} must be a finite number, got {x}")
     return x
+
+
+def _bin_count(value, field: str, key: str) -> int:
+    """``int(value)``, refusing counts beyond ``MAX_GRID_BINS``."""
+    if value > MAX_GRID_BINS:
+        raise ScenarioError(f"{field}: {key} must be at most {MAX_GRID_BINS}, got {value}")
+    return int(value)
 
 
 def _rotation_unitary(axis: str, angle: float) -> np.ndarray:
@@ -125,7 +132,7 @@ def _parse_profile(data: dict, grid: TimeGrid, name: str) -> TimingProfile:
         maker = exponential_conditional if conditional else exponential_profile
         return maker(_finite(data["gamma"], name, "gamma"), grid)
     if conditional:
-        return delta_conditional(grid, int(data.get("lag_bins", 0)))
+        return delta_conditional(grid, _bin_count(data.get("lag_bins", 0), name, "lag_bins"))
     try:
         return delta_profile(grid, int(data.get("bin", 0)))
     except ValueError as exc:
@@ -134,11 +141,13 @@ def _parse_profile(data: dict, grid: TimeGrid, name: str) -> TimingProfile:
 
 def _parse_timing(data: dict) -> EventTiming:
     spec = data["grid"]
-    grid = TimeGrid(
-        t0=_finite(spec.get("t0", 0.0), "timing.grid", "t0"),
-        dt=_finite(spec["dt"], "timing.grid", "dt"),
-        n_bins=int(spec["n_bins"]),
-    )
+    n_bins = _bin_count(spec["n_bins"], "timing.grid", "n_bins")
+    t0 = _finite(spec.get("t0", 0.0), "timing.grid", "t0")
+    dt = _finite(spec["dt"], "timing.grid", "dt")
+    try:
+        grid = TimeGrid(t0=t0, dt=dt, n_bins=n_bins)
+    except ValueError as exc:
+        raise ScenarioError(f"timing.grid: {exc}") from exc
     if "joint" in data:
         return EventTiming(
             joint_amplitudes=_parts_to_array(data["joint"], "timing.joint"), joint_grid=grid

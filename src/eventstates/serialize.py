@@ -150,7 +150,7 @@ def state_from_json(data: dict) -> EventState:
                 dt=float(_require(spec, "dt", "timers")),
                 n_bins=int(_require(spec, "n_bins", "timers")),
             )
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:
             raise ScenarioError(f"timers: {exc}") from exc
     return EventState(kind=kind, rho=rho, basis_a=basis_a, basis_b=basis_b, timers=timers)
 

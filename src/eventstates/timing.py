@@ -56,6 +56,8 @@ class TimeGrid:
             raise ValueError("t0 must be finite")
         if self.n_bins < 2:
             raise ValueError(f"n_bins must be at least 2, got {self.n_bins}")
+        if not math.isfinite(self.t_end):
+            raise ValueError("grid end t0 + dt * n_bins must be finite")
 
     @property
     def times(self) -> np.ndarray:
@@ -218,7 +220,7 @@ def delta_conditional(grid: TimeGrid, lag_bins: int) -> TimingProfile:
     n = grid.n_bins
     amps = np.zeros((n, n), dtype=complex)
     rows = np.arange(n)
-    cols = np.minimum(rows + lag_bins, n - 1)
+    cols = np.minimum(rows + min(lag_bins, n - 1), n - 1)
     amps[rows, cols] = 1.0 / math.sqrt(grid.dt)
     return TimingProfile(grid=grid, kind=CONDITIONAL, amplitudes=amps)
 

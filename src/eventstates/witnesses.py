@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .event_states import EventState
-from .policy import COHERENCE_FLOOR_BITS, TIME_CORRELATION_FLOOR, ScenarioError
+from .policy import CHEBYSHEV_SLACK, COHERENCE_FLOOR_BITS, TIME_CORRELATION_FLOOR, ScenarioError
 from .quantum_core import relative_entropy_of_coherence
 from .timing import JointTimeDistribution
 
@@ -127,17 +127,18 @@ class ChebyshevCheck:
     consistent: bool
 
 
-def chebyshev_check(dist: JointTimeDistribution, *, slack: float = 1e-9) -> ChebyshevCheck:
+def chebyshev_check(dist: JointTimeDistribution) -> ChebyshevCheck:
     """Verify that a monotone conditional mean comes with nonnegative covariance.
 
     Rows without mass are skipped.  ``consistent`` is True when either the
     conditional mean is not monotone (no constraint applies) or the
-    covariance is above ``-slack``.
+    covariance is above ``-CHEBYSHEV_SLACK``.
     """
     pa = dist.marginal_a()
     support = pa > 0.0
     means = (dist.table[support] @ dist.times) / pa[support]
     span = float(dist.times[-1] - dist.times[0])
-    monotone = bool(means.size < 2 or np.all(np.diff(means) >= -slack * max(span, 1.0)))
+    monotone = bool(means.size < 2 or np.all(np.diff(means) >= -CHEBYSHEV_SLACK * max(span, 1.0)))
     cov = time_correlation(dist)
-    return ChebyshevCheck(covariance=cov, monotone=monotone, consistent=(not monotone) or cov >= -slack)
+    consistent = (not monotone) or cov >= -CHEBYSHEV_SLACK
+    return ChebyshevCheck(covariance=cov, monotone=monotone, consistent=consistent)

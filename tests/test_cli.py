@@ -1,15 +1,22 @@
 """End-to-end command-line checks, run in process through main()."""
 
+import contextlib
+import copy
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventstates import ScenarioError, build_tl_instant, save_state, state_from_json
-from eventstates.cli import main
+from eventstates.cli import DEMO_FILES, main
 
 from helpers import random_tl_scenario, rng_for
 
@@ -67,6 +74,19 @@ _PLAIN_TL = {
 }
 _ZERO_H = {"dim": 2, "re": [[0.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 _GRID4 = {"dt": 0.5, "n_bins": 4}
+
+
+def _timed_tl(grid=None, profile_b=None):
+    """TL scenario with an exponential first profile and, by default, a delta lag of one bin."""
+    return dict(
+        _PLAIN_TL,
+        hamiltonian=_ZERO_H,
+        timing={
+            "grid": dict({"dt": 0.25, "n_bins": 4}, **(grid or {})),
+            "profileA": {"type": "exponential", "gamma": 1.0},
+            "profileB": profile_b or {"type": "delta", "conditional": True, "lag_bins": 1},
+        },
+    )
 
 
 @pytest.mark.parametrize(
@@ -142,6 +162,19 @@ _GRID4 = {"dt": 0.5, "n_bins": 4}
             },
             "chsh",
         ),
+        (_timed_tl(grid={"n_bins": 1e308}), "timing.grid"),
+        (
+            _timed_tl(
+                grid={"n_bins": 100000},
+                profile_b={"type": "exponential", "gamma": 1.0, "conditional": True},
+            ),
+            "timing.grid",
+        ),
+        (
+            _timed_tl(profile_b={"type": "delta", "conditional": True, "lag_bins": 1e308}),
+            "timing.profileB",
+        ),
+        (_timed_tl(grid={"dt": 1e308}), "timing.grid"),
     ],
     ids=[
         "duplicate-labels",
@@ -155,6 +188,10 @@ _GRID4 = {"dt": 0.5, "n_bins": 4}
         "nan-grid-dt",
         "nan-gamma",
         "nan-chsh-angle",
+        "huge-grid",
+        "oversized-conditional-grid",
+        "huge-lag",
+        "huge-grid-dt",
     ],
 )
 def test_malformed_fields_exit_two_with_one_line(capsys, tmp_path, scenario, field):
@@ -168,6 +205,69 @@ def test_malformed_fields_exit_two_with_one_line(capsys, tmp_path, scenario, fie
     # the commands that build or analyse the scenario stop at the same line
     for command in ("build", "chsh") if scenario["kind"] == "SL" else ("build",):
         assert _run(capsys, command, str(path)) == (2, "", err)
+
+
+# Scenario mutants: one leaf of a bundled demo (or of a small timed TL
+# scenario) deleted or replaced by a value of the wrong kind, sign or size.
+_DELETE = object()
+_MUTANT_VALUES = [_DELETE, None, "x", -1, 0, 2, 1e308, -1e308, float("nan"), [], {}, True, [1, 2, 3]]
+_MUTANT_SEEDS = [
+    json.loads(resources.files("eventstates").joinpath(f"data/{name}").read_text())
+    for name in DEMO_FILES.values()
+] + [_timed_tl()]
+_MUTANT_COMMANDS = (
+    ["validate"],
+    ["build"],
+    ["witness"],
+    ["discriminate"],
+    ["classical-corr"],
+    ["chsh"],
+    ["build", "--timed"],
+)
+
+
+def _leaf_paths(doc, path=()):
+    """Key paths to every scalar in a JSON document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+def _mutant(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    doc = draw(st.sampled_from(_MUTANT_SEEDS))
+    path = draw(st.sampled_from(list(_leaf_paths(doc))))
+    return _mutant(doc, path, draw(st.sampled_from(_MUTANT_VALUES)))
+
+
+# coarse grids and overflowing norms warn; only the exit codes matter here
+@pytest.mark.filterwarnings("ignore")
+@given(_mutated_scenarios())
+@settings(max_examples=80, deadline=None)
+def test_mutated_scenarios_exit_cleanly(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(scenario, fh)
+        for command, *flags in _MUTANT_COMMANDS:
+            # any exception escaping main() fails the test with its traceback
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, path, *flags])
+            assert code in (0, 2, 3), (command, flags)
 
 
 def test_validate_rejects_what_build_rejects(capsys, tmp_path):
@@ -203,6 +303,20 @@ def test_broken_state_file_exits_three(capsys, tmp_path):
     code, out, err = _run(capsys, "witness", str(path))
     assert code == 3
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("n_bins", ["Infinity", "1" + "0" * 400], ids=["infinite", "400-digit"])
+def test_state_file_with_oversized_timer_grid_exits_two(capsys, tmp_path, n_bins):
+    state = build_tl_instant(random_tl_scenario(rng_for(3)))
+    path = tmp_path / "state.json"
+    save_state(str(path), state)
+    data = json.loads(path.read_text())
+    data["timers"] = {"t0": 0.0, "dt": 0.5, "n_bins": 2}
+    path.write_text(json.dumps(data).replace('"n_bins": 2', f'"n_bins": {n_bins}'))
+    code, out, err = _run(capsys, "witness", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: timers:")
 
 
 def test_build_prints_summary(capsys):

@@ -12,12 +12,14 @@ from eventstates import (
     build_sl_instant,
     build_tl_instant,
     classical_correlation,
+    conditional_decomposition,
     determinism_check,
     find_deterministic_basis,
     helstrom_pure,
     helstrom_success,
     partial_trace,
     predict_future_outcome,
+    reconstruct_from_decomposition,
     von_neumann_entropy,
 )
 from eventstates.quantum_core import PAULI_X, PAULI_Y, PAULI_Z, projector
@@ -389,3 +391,72 @@ def test_basis_search_input_checks():
         find_deterministic_basis(random_density(rng, 2), None, MeasurementModel.sz())
     with pytest.raises(ScenarioError, match="qubit"):
         find_deterministic_basis(random_ket(rng, 3), None, MeasurementModel.computational(3))
+
+
+def _empty_outcome_state():
+    # U3 (+) 1 never reaches level 3 and the initial ket has no weight there,
+    # so the second outcome 3 never fires; three outcomes stay live
+    rng = rng_for(41)
+    u = np.eye(4, dtype=complex)
+    u[:3, :3] = random_unitary(rng, 3)
+    first = np.eye(4, dtype=complex)
+    first[:3, :3] = random_unitary(rng, 3)
+    psi = np.zeros(4, dtype=complex)
+    psi[:3] = random_ket(rng, 3)
+    scenario = EventScenario(
+        kind="TL",
+        initial=psi,
+        basis_a=MeasurementModel.from_kets(first, [0.0, 1.0, 2.0, 3.0]),
+        basis_b=MeasurementModel.computational(4),
+        evolution=u,
+    )
+    return build_tl_instant(scenario)
+
+
+def test_empty_outcome_among_several_is_left_out():
+    state = _empty_outcome_state()
+    four = state.rho.reshape(4, 4, 4, 4)
+    probs = [float(np.real(np.trace(four[:, b, :, b]))) for b in range(4)]
+    assert probs[3] == 0.0
+    sigmas = [four[:, b, :, b] / probs[b] for b in range(3)]
+
+    decomp = conditional_decomposition(state)
+    assert decomp.conditionals[3] is None and decomp.lambdas[3] is None
+    np.testing.assert_allclose(decomp.probs, probs, atol=1e-12)
+    for b in range(3):
+        np.testing.assert_allclose(decomp.conditionals[b], sigmas[b], atol=1e-12)
+        lam = decomp.lambdas[b]
+        np.testing.assert_allclose(np.outer(lam, lam.conj()), sigmas[b], atol=1e-12)
+    np.testing.assert_allclose(reconstruct_from_decomposition(decomp, 4), state.rho, atol=1e-12)
+
+    report = predict_future_outcome(state)
+    assert not report.exact
+    assert np.all(np.isnan(report.pairwise[3, :3]))
+    assert np.all(np.isnan(report.pairwise[:3, 3]))
+    np.testing.assert_array_equal(np.diag(report.pairwise), 1.0)
+    # square-root measurement and the pairwise Helstrom values, longhand
+    rho_bar = sum(p * s for p, s in zip(probs, sigmas))
+    vals, vecs = np.linalg.eigh(rho_bar)
+    inv_root = sum(
+        projector(vecs[:, i]) / np.sqrt(vals[i]) for i in range(4) if vals[i] > 1e-14
+    )
+    srm = 0.0
+    for p, s in zip(probs, sigmas):
+        srm += float(np.real(np.trace(inv_root @ (p * s) @ inv_root @ (p * s))))
+    assert report.success == pytest.approx(srm, abs=1e-12)
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                pi, pj = probs[i] / (probs[i] + probs[j]), probs[j] / (probs[i] + probs[j])
+                gap = pi * sigmas[i] - pj * sigmas[j]
+                expect = 0.5 * (1.0 + np.sum(np.abs(np.linalg.eigvalsh(gap))))
+                assert report.pairwise[i, j] == pytest.approx(expect, abs=1e-12)
+
+    det = determinism_check(state)
+    assert np.all(det.gram[3] == 0.0) and np.all(det.gram[:, 3] == 0.0)
+    overlaps = [
+        [float(np.real(np.trace(sigmas[i] @ sigmas[j]))) for j in range(3)] for i in range(3)
+    ]
+    np.testing.assert_allclose(det.gram[:3, :3], np.sqrt(np.clip(overlaps, 0.0, None)), atol=1e-12)
+    worst = max(overlaps[i][j] for i in range(3) for j in range(3) if i != j)
+    assert det.max_overlap == pytest.approx(worst, abs=1e-12)

@@ -54,6 +54,18 @@ def test_bloch_pair_orthonormal(seed):
     np.testing.assert_allclose(pair.conj() @ pair.T, np.eye(2), atol=1e-14)
 
 
+def test_bloch_pair_broadcasts_over_array_angles():
+    rng = rng_for(11)
+    thetas, phis = rng.uniform(0, np.pi, 5), rng.uniform(0, 2 * np.pi, 7)
+    grid = bloch_pair(thetas[:, None], phis)
+    assert grid.shape == (5, 7, 2, 2)
+    expect = np.array([[bloch_pair(t, p) for p in phis] for t in thetas])
+    np.testing.assert_array_equal(grid, expect)
+    np.testing.assert_array_equal(bloch_pair(thetas), [bloch_pair(t) for t in thetas])
+    assert bloch_pair(0.4, 1.2).shape == (2, 2)
+    assert bloch_pair(0.4).shape == (2, 2)
+
+
 def test_partial_trace_product_state():
     rho_a = random_density(rng_for(1), 2)
     rho_b = random_density(rng_for(2), 3)
