@@ -129,17 +129,6 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _timing_table(loaded: ScenarioFile):
-    scenario = loaded.scenario
-    timing = scenario.timing
-    if timing is None:
-        return None
-    if timing.joint_amplitudes is not None:
-        table = np.abs(timing.joint_amplitudes) ** 2 * timing.grid.dt**2
-        return JointTimeDistribution(grid=timing.grid, kind=scenario.kind, table=table)
-    return joint_time_distribution(timing.profile_a, timing.profile_b, scenario.kind)
-
-
 def _cmd_witness(args) -> int:
     state, loaded = _load_any(args.path)
     reports = []
@@ -149,9 +138,11 @@ def _cmd_witness(args) -> int:
             state = trace_out_timers(state)
         reports.append(coherence_witness(state))
     else:
-        table = _timing_table(loaded)
-        if table is not None:
-            reports.append(time_witness(table))
+        timing = loaded.scenario.timing
+        if timing is not None:
+            table = np.abs(timing.cell_amplitudes()) ** 2
+            dist = JointTimeDistribution(grid=timing.grid, kind=loaded.scenario.kind, table=table)
+            reports.append(time_witness(dist))
         reports.append(coherence_witness(build_event_state(loaded.scenario)))
     reports.reverse()
 
@@ -203,17 +194,23 @@ def _cmd_classical_corr(args) -> int:
     return 0
 
 
-def _chsh_report(loaded: ScenarioFile):
+def _chsh_output(loaded: ScenarioFile):
+    """The CHSH report of a scenario file with its JSON payload and text lines."""
     if loaded.chsh_angles is None:
         raise ScenarioError(f"{loaded.source}: no chsh settings in scenario")
     angles_a, angles_b = loaded.chsh_angles
     scenarios = chsh_scenarios(loaded.scenario.initial, angles_a, angles_b)
-    return chsh_value([build_event_state(s) for s in scenarios])
+    report = chsh_value([build_event_state(s) for s in scenarios])
+    lines = [
+        "E = " + ", ".join(f"{e:+.6f}" for e in report.correlators),
+        f"S = {report.value:.6f}",
+        f"tsirelson_ok = {'true' if report.tsirelson_ok else 'false'}",
+    ]
+    return report, chsh_report_to_json(report), lines
 
 
 def _cmd_chsh(args) -> int:
-    loaded = load_scenario(args.scenario)
-    report = _chsh_report(loaded)
+    report, payload, lines = _chsh_output(load_scenario(args.scenario))
     if args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(["E_ab", "E_abp", "E_apb", "E_apbp", "S", "tsirelson_ok"])
@@ -222,12 +219,6 @@ def _cmd_chsh(args) -> int:
             + [f"{report.value:.12g}", str(report.tsirelson_ok).lower()]
         )
         return 0
-    payload = chsh_report_to_json(report)
-    lines = [
-        "E = " + ", ".join(f"{e:+.6f}" for e in report.correlators),
-        f"S = {report.value:.6f}",
-        f"tsirelson_ok = {'true' if report.tsirelson_ok else 'false'}",
-    ]
     _emit(args, payload, lines)
     return 0
 
@@ -311,14 +302,7 @@ def _cmd_demo(args) -> int:
     if args.name == "decay":
         payload, lines = _demo_decay(args)
     elif args.name == "bell-sl":
-        loaded = _demo_scenario("bell-sl")
-        report = _chsh_report(loaded)
-        payload = chsh_report_to_json(report)
-        lines = [
-            "E = " + ", ".join(f"{e:+.6f}" for e in report.correlators),
-            f"S = {report.value:.6f}",
-            f"tsirelson_ok = {'true' if report.tsirelson_ok else 'false'}",
-        ]
+        _, payload, lines = _chsh_output(_demo_scenario("bell-sl"))
     else:
         payload, lines = _demo_record_pair(args.name)
     _emit(args, payload, lines)

@@ -48,6 +48,7 @@ from .timing import (
     JointTimeDistribution,
     TimeGrid,
     TimingProfile,
+    _cell_amplitudes,
 )
 
 __all__ = [
@@ -124,6 +125,16 @@ class EventTiming:
         if self.joint_grid is not None:
             return self.joint_grid
         return self.profile_a.grid
+
+    def cell_amplitudes(self) -> np.ndarray:
+        """Amplitude of each grid cell (k, l), first firing at bin k and second at bin l.
+
+        ``dt * chi_a(t_k) * chi_b(t_l [| t_k])`` for two profiles, or ``dt`` times
+        the joint table; the cell masses |amplitude|^2 sum to 1.
+        """
+        if self.joint_amplitudes is not None:
+            return self.grid.dt * self.joint_amplitudes
+        return _cell_amplitudes(self.profile_a, self.profile_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,15 +399,10 @@ def build_sl_fuzzy(scenario: EventScenario) -> EventState:
     check_buildable(scenario)
     da, db = scenario.dims
     grid = timing.grid
-    dt = grid.dt
-    taus = grid.times - grid.t0
-    ua = _evolution_family(scenario.hamiltonian_a, taus)
-    ub = _evolution_family(scenario.hamiltonian_b, taus)
-    # Renormalize bin masses exactly so the output trace is 1 to rounding.
-    wa = np.abs(timing.profile_a.amplitudes) ** 2 * dt
-    wa /= wa.sum()
-    wb = np.abs(timing.profile_b.amplitudes) ** 2 * dt
-    wb /= wb.sum()
+    ua = _evolution_family(scenario.hamiltonian_a, grid.offsets)
+    ub = _evolution_family(scenario.hamiltonian_b, grid.offsets)
+    wa = np.abs(timing.profile_a.amplitudes) ** 2 * grid.dt
+    wb = np.abs(timing.profile_b.amplitudes) ** 2 * grid.dt
     # fa[a] = sum_k wa_k U_a(tau_k)^dagger |a><a| U_a(tau_k), and fb alike.
     ta = np.einsum("ai,kij->kaj", scenario.basis_a.kets.conj(), ua)
     tb = np.einsum("bi,kij->kbj", scenario.basis_b.kets.conj(), ub)
@@ -424,23 +430,15 @@ def build_tl_fuzzy(scenario: EventScenario) -> EventState:
         raise ScenarioError("scenario does not describe ordered events")
     timing = _require_timing(scenario)
     check_buildable(scenario)
-    grid = timing.grid
-    dt = grid.dt
-    n = grid.n_bins
-    taus = grid.times - grid.t0
-    ufam = _evolution_family(scenario.hamiltonian, taus)
+    n = timing.grid.n_bins
+    ufam = _evolution_family(scenario.hamiltonian, timing.grid.offsets)
 
     rho0 = scenario.initial_density()
     ka, kb = scenario.basis_a.kets, scenario.basis_b.kets
     rho_t = np.einsum("kij,jJ,kIJ->kiI", ufam, rho0, ufam.conj())
     rho_rec = np.einsum("ai,kiI,AI->kaA", ka.conj(), rho_t, ka)
 
-    # Renormalize bin masses exactly so the output trace is 1 to rounding.
-    wa = np.abs(timing.profile_a.amplitudes) ** 2 * dt
-    wa /= wa.sum()
-    wb = np.abs(timing.profile_b.amplitudes) ** 2 * dt
-    wb /= wb.sum(axis=1, keepdims=True)
-    joint_w = wa[:, None] * wb
+    joint_w = np.abs(timing.cell_amplitudes()) ** 2
 
     # Regroup the double time sum by lag g = l - k: the inter-event evolution
     # depends on the lag alone on a uniform grid.
@@ -456,23 +454,6 @@ def build_tl_fuzzy(scenario: EventScenario) -> EventState:
         basis_a=scenario.basis_a,
         basis_b=scenario.basis_b,
     )
-
-
-def _timed_amplitudes(scenario: EventScenario) -> np.ndarray:
-    """Per-cell record amplitudes a(k, l) with sum of |a|^2 equal to 1."""
-    timing = scenario.timing
-    grid = timing.grid
-    dt = grid.dt
-    if timing.joint_amplitudes is not None:
-        amp = dt * timing.joint_amplitudes
-    else:
-        chi_a = timing.profile_a.amplitudes
-        if scenario.kind == "TL":
-            amp = dt * chi_a[:, None] * timing.profile_b.amplitudes
-        else:
-            amp = dt * np.outer(chi_a, timing.profile_b.amplitudes)
-    # Renormalize exactly so the assembled state has unit trace to rounding.
-    return amp / np.sqrt(np.sum(np.abs(amp) ** 2))
 
 
 def build_timed_state(scenario: EventScenario) -> EventState:
@@ -515,11 +496,11 @@ def build_timed_state(scenario: EventScenario) -> EventState:
             ha = scenario.hamiltonian_a if scenario.hamiltonian_a is not None else np.zeros((da, da))
             hb = scenario.hamiltonian_b if scenario.hamiltonian_b is not None else np.zeros((db, db))
             ham = np.kron(ha, np.eye(db)) + np.kron(np.eye(da), hb)
-    u = _evolution_family(ham, grid.times - grid.t0)[:, None]
+    u = _evolution_family(ham, grid.offsets)[:, None]
     heis_a, heis_b = (u.conj().swapaxes(-1, -2) @ proj @ u for proj in (proj_a, proj_b))
     bins = np.arange(n)
     later = (bins[None, :] >= bins[:, None])[:, None, :, None, None, None]
-    amp = _timed_amplitudes(scenario)[:, None, :, None, None, None]
+    amp = timing.cell_amplitudes()[:, None, :, None, None, None]
     # One column sqrt(w) psi_w per pure component w of the initial state.
     weights, kets = scenario._initial_spectrum()
     psi = kets * np.sqrt(weights)

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .policy import PROFILE_NORM_TOL, NumericsError
 from .quantum_core import _readonly
@@ -60,8 +61,16 @@ class TimeGrid:
             raise ValueError("grid end t0 + dt * n_bins must be finite")
 
     @property
+    def offsets(self) -> np.ndarray:
+        """Elapsed time dt * k of each bin since t0, exact however large t0 is.
+
+        Lags and in-flight times come from here, not from ``times``.
+        """
+        return self.dt * np.arange(self.n_bins)
+
+    @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_bins)
+        return self.t0 + self.offsets
 
     @property
     def t_end(self) -> float:
@@ -76,7 +85,9 @@ class TimingProfile:
     Marginal profiles hold a vector with sum |chi_k|^2 dt = 1.  Conditional
     profiles hold a matrix whose row k is the amplitude for the second firing
     at bins l >= k, each row normalized the same way; entries below the
-    diagonal are exactly zero.
+    diagonal are exactly zero.  Input within ``PROFILE_NORM_TOL`` of unit
+    mass is accepted and stored rescaled to exact unit mass (the whole
+    vector, or each row), so every reader sees the same normalized masses.
     """
 
     grid: TimeGrid
@@ -86,26 +97,26 @@ class TimingProfile:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         n = self.grid.n_bins
-        if self.kind == MARGINAL:
-            if amps.shape != (n,):
-                raise ValueError(f"marginal profile needs shape ({n},), got {amps.shape}")
-            mass = float(np.sum(np.abs(amps) ** 2) * self.grid.dt)
-            if abs(mass - 1.0) > PROFILE_NORM_TOL:
-                raise NumericsError(f"marginal profile not normalized: mass {mass:.8f}")
-        elif self.kind == CONDITIONAL:
-            if amps.shape != (n, n):
-                raise ValueError(f"conditional profile needs shape ({n}, {n}), got {amps.shape}")
-            if np.any(amps[np.tril_indices(n, k=-1)] != 0.0):
-                raise NumericsError("conditional profile must be exactly zero below the diagonal")
-            masses = np.sum(np.abs(amps) ** 2, axis=1) * self.grid.dt
-            worst = float(np.max(np.abs(masses - 1.0)))
-            if worst > PROFILE_NORM_TOL:
-                raise NumericsError(f"conditional profile rows not normalized: defect {worst:.3e}")
-        else:
+        if self.kind not in (MARGINAL, CONDITIONAL):
             raise ValueError(f"kind must be {MARGINAL!r} or {CONDITIONAL!r}, got {self.kind!r}")
+        shape = (n,) if self.kind == MARGINAL else (n, n)
+        if amps.shape != shape:
+            raise ValueError(f"{self.kind} profile needs shape {shape}, got {amps.shape}")
+        if self.kind == CONDITIONAL and np.any(amps[np.tril_indices(n, k=-1)] != 0.0):
+            raise NumericsError("conditional profile must be exactly zero below the diagonal")
+        # One mass for a marginal, one per row for a conditional profile.
+        mass = np.sum(np.abs(amps) ** 2, axis=-1, keepdims=True) * self.grid.dt
+        worst = float(np.max(np.abs(mass - 1.0)))
+        if worst > PROFILE_NORM_TOL and self.kind == MARGINAL:
+            raise NumericsError(f"marginal profile not normalized: mass {mass[0]:.8f}")
+        if worst > PROFILE_NORM_TOL:
+            raise NumericsError(f"conditional profile rows not normalized: defect {worst:.3e}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("profile amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
+        # The rescaled copy is the stored one (no second copy of n x n rows).
+        amps = amps / np.sqrt(mass)
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,32 +167,32 @@ def exponential_grid(gamma: float, dt: float, *, tail_mass: float = 1e-6, t0: fl
 
 def exponential_tail_mass(gamma: float, grid: TimeGrid) -> float:
     """Probability mass of the exponential law beyond the end of the grid."""
-    return math.exp(-gamma * (grid.t_end - grid.t0))
+    return math.exp(-gamma * (grid.dt * grid.n_bins))
 
 
-def _warn_if_coarse(gamma: float, dt: float) -> None:
-    if gamma * dt > 0.1:
+def _decay(gamma: float, grid: TimeGrid) -> np.ndarray:
+    """sqrt(gamma) exp(-gamma tau / 2) at the elapsed times tau = dt * k of the grid."""
+    if gamma <= 0.0:
+        raise ValueError(f"decay rate must be positive, got {gamma}")
+    if gamma * grid.dt > 0.1:
         warnings.warn(
-            f"gamma * dt = {gamma * dt:.3g} > 0.1; grid is coarse for this decay rate",
+            f"gamma * dt = {gamma * grid.dt:.3g} > 0.1; grid is coarse for this decay rate",
             stacklevel=3,
         )
+    return np.sqrt(gamma) * np.exp(-0.5 * gamma * grid.offsets)
 
 
 def exponential_profile(gamma: float, grid: TimeGrid) -> TimingProfile:
     """Marginal profile chi(t) = sqrt(gamma) exp(-gamma (t - t0) / 2), renormalized on the grid."""
-    if gamma <= 0.0:
-        raise ValueError(f"decay rate must be positive, got {gamma}")
-    _warn_if_coarse(gamma, grid.dt)
+    amps = _decay(gamma, grid)
     tail = exponential_tail_mass(gamma, grid)
     if tail > PROFILE_NORM_TOL:
         warnings.warn(
             f"grid truncates {tail:.3g} of the decay mass; extend the grid for accuracy",
             stacklevel=2,
         )
-    amps = np.sqrt(gamma) * np.exp(-0.5 * gamma * (grid.times - grid.t0))
-    mass = float(np.sum(np.abs(amps) ** 2) * grid.dt)
-    amps = amps / math.sqrt(mass)
-    return TimingProfile(grid=grid, kind=MARGINAL, amplitudes=amps.astype(complex))
+    mass = float(np.sum(amps**2) * grid.dt)
+    return TimingProfile(grid=grid, kind=MARGINAL, amplitudes=amps / math.sqrt(mass))
 
 
 def exponential_conditional(gamma: float, grid: TimeGrid) -> TimingProfile:
@@ -190,15 +201,14 @@ def exponential_conditional(gamma: float, grid: TimeGrid) -> TimingProfile:
     Row k holds chi(t_l | t_k) = sqrt(gamma) exp(-gamma (t_l - t_k) / 2) for
     l >= k, renormalized over the remaining window.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"decay rate must be positive, got {gamma}")
-    _warn_if_coarse(gamma, grid.dt)
-    t = grid.times
-    lag = t[None, :] - t[:, None]
-    amps = np.where(lag >= 0.0, np.sqrt(gamma) * np.exp(-0.5 * gamma * np.clip(lag, 0.0, None)), 0.0)
-    masses = np.sum(np.abs(amps) ** 2, axis=1, keepdims=True) * grid.dt
-    amps = amps / np.sqrt(masses)
-    return TimingProfile(grid=grid, kind=CONDITIONAL, amplitudes=amps.astype(complex))
+    n = grid.n_bins
+    decay = _decay(gamma, grid)
+    # lagged[k, l] = decay[l - k] for l >= k and 0 below (a view, no copy);
+    # row k's window holds the first n - k lags.
+    lagged = sliding_window_view(np.concatenate([np.zeros(n - 1), decay]), n)[::-1]
+    norms = np.sqrt(np.cumsum(decay**2)[::-1] * grid.dt)
+    amps = np.divide(lagged, norms[:, None], out=np.empty((n, n), dtype=complex))
+    return TimingProfile(grid=grid, kind=CONDITIONAL, amplitudes=amps)
 
 
 def delta_profile(grid: TimeGrid, bin_index: int) -> TimingProfile:
@@ -305,6 +315,16 @@ class JointTimeDistribution:
         return self.table.sum(axis=0)
 
 
+def _cell_amplitudes(profile_a: TimingProfile, profile_b: TimingProfile) -> np.ndarray:
+    """Amplitude dt * chi_a(t_k) * chi_b(t_l) of each grid cell (k, l).
+
+    A marginal second profile broadcasts to the outer product of independent
+    firings; a conditional one scales row k by chi_b(t_l | t_k).  Since both
+    profiles are stored normalized, the cell masses |amplitude|^2 sum to 1.
+    """
+    return profile_a.grid.dt * profile_a.amplitudes[:, None] * profile_b.amplitudes
+
+
 def joint_time_distribution(
     profile_a: TimingProfile, profile_b: TimingProfile, kind: str
 ) -> JointTimeDistribution:
@@ -317,18 +337,13 @@ def joint_time_distribution(
         raise ValueError("first profile must be marginal")
     if profile_a.grid != profile_b.grid:
         raise ValueError("profiles live on different grids")
-    dt = profile_a.grid.dt
-    pa = np.abs(profile_a.amplitudes) ** 2 * dt
     if kind == "SL":
         if profile_b.kind != MARGINAL:
             raise ValueError("independent events need a marginal second profile")
-        pb = np.abs(profile_b.amplitudes) ** 2 * dt
-        table = np.outer(pa, pb)
     elif kind == "TL":
         if profile_b.kind != CONDITIONAL:
             raise ValueError("ordered events need a conditional second profile")
-        pb = np.abs(profile_b.amplitudes) ** 2 * dt
-        table = pa[:, None] * pb
     else:
         raise ValueError(f"kind must be 'SL' or 'TL', got {kind!r}")
+    table = np.abs(_cell_amplitudes(profile_a, profile_b)) ** 2
     return JointTimeDistribution(grid=profile_a.grid, kind=kind, table=table)

@@ -83,16 +83,17 @@ def conditional_mean_arrival(dist: JointTimeDistribution) -> np.ndarray:
     if np.any(pa <= 0.0):
         empty = int(np.flatnonzero(pa <= 0.0)[0])
         raise ValueError(f"trigger bin {empty} carries no mass; restrict the table to its support")
-    return (dist.table @ dist.times) / pa
+    return dist.grid.t0 + (dist.table @ dist.grid.offsets) / pa
 
 
 def time_correlation(dist: JointTimeDistribution) -> float:
     """Covariance of the two firing times under the joint table.
 
-    Times are centered before accumulating so that grids far from the origin
-    do not lose precision to cancellation.
+    The covariance does not depend on where the clock starts, so it is taken
+    over the elapsed times ``dt * k``, centered before accumulating so that
+    mass far into the grid does not lose precision to cancellation.
     """
-    t = dist.times
+    t = dist.grid.offsets
     pa = dist.marginal_a()
     pb = dist.marginal_b()
     center = 0.5 * float(pa @ t + pb @ t)
@@ -136,8 +137,8 @@ def chebyshev_check(dist: JointTimeDistribution) -> ChebyshevCheck:
     """
     pa = dist.marginal_a()
     support = pa > 0.0
-    means = (dist.table[support] @ dist.times) / pa[support]
-    span = float(dist.times[-1] - dist.times[0])
+    means = (dist.table[support] @ dist.grid.offsets) / pa[support]
+    span = dist.grid.dt * (dist.grid.n_bins - 1)
     monotone = bool(means.size < 2 or np.all(np.diff(means) >= -CHEBYSHEV_SLACK * max(span, 1.0)))
     cov = time_correlation(dist)
     consistent = (not monotone) or cov >= -CHEBYSHEV_SLACK

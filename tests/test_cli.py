@@ -15,10 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventstates import ScenarioError, build_tl_instant, save_state, state_from_json
+from eventstates import (
+    ScenarioError,
+    TimeGrid,
+    build_timed_state,
+    build_tl_instant,
+    coherence_witness,
+    load_scenario,
+    profile_to_json,
+    save_state,
+    state_from_json,
+    time_witness,
+    timer_distribution,
+    trace_out_timers,
+)
 from eventstates.cli import DEMO_FILES, main
 
-from helpers import random_tl_scenario, rng_for
+from helpers import random_conditional_profile, random_marginal_profile, random_tl_scenario, rng_for
 
 
 def _bundled(name: str) -> str:
@@ -291,6 +304,47 @@ def test_validate_rejects_what_build_rejects(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == build_err
+
+
+@pytest.mark.parametrize("command", ["validate", "build", "witness"])
+def test_far_grid_origin_prints_what_the_zero_origin_prints(capsys, tmp_path, command):
+    # at t0 = 1e16 the absolute times t0 + k * dt of neighbouring bins round together
+    exponential_b = {"type": "exponential", "gamma": 1.0, "conditional": True}
+    path = tmp_path / "grid.json"
+    runs = []
+    for t0 in (0.0, 1e16):
+        path.write_text(json.dumps(_timed_tl(grid={"t0": t0, "n_bins": 8}, profile_b=exponential_b)))
+        runs.append(_run(capsys, command, str(path)))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
+def test_near_normalised_raw_profiles_witness_like_their_timed_state(capsys, tmp_path):
+    # the marginal and every conditional row carry mass 1 + 8e-7, inside PROFILE_NORM_TOL
+    rng = rng_for(8)
+    grid = TimeGrid(t0=0.0, dt=0.5, n_bins=4)
+    profiles = {}
+    for key, make in (("profileA", random_marginal_profile), ("profileB", random_conditional_profile)):
+        profile = make(rng, grid)
+        amps = profile.amplitudes * np.sqrt(1.0 + 8e-7)
+        profiles[key] = dict(profile_to_json(profile), re=amps.real.tolist(), im=amps.imag.tolist())
+    hamiltonian = {"dim": 2, "re": [[0.3, 0.1], [0.1, -0.3]], "im": [[0.0, 0.2], [-0.2, 0.0]]}
+    scenario = dict(_PLAIN_TL, hamiltonian=hamiltonian, timing={"grid": {"dt": 0.5, "n_bins": 4}, **profiles})
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = _run(capsys, "witness", str(path), "--json")
+    assert (code, err) == (0, "")
+    timed = build_timed_state(load_scenario(str(path)).scenario)
+    expect = [
+        coherence_witness(trace_out_timers(timed)).value,
+        time_witness(timer_distribution(timed)).value,
+    ]
+    np.testing.assert_allclose([w["value"] for w in json.loads(out)["witnesses"]], expect, rtol=0, atol=1e-12)
+    state = tmp_path / "raw.state.json"
+    assert _run(capsys, "build", str(path), "--timed", "--out", str(state))[0] == 0
+    code, out, err = _run(capsys, "witness", str(state), "--json")
+    assert (code, err) == (0, "")
+    np.testing.assert_allclose([w["value"] for w in json.loads(out)["witnesses"]], expect, rtol=0, atol=1e-12)
 
 
 def test_broken_state_file_exits_three(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from eventstates import (
     NumericsError,
     ScenarioError,
     TimeGrid,
+    TimingProfile,
     build_event_state,
     build_sl_fuzzy,
     build_sl_instant,
@@ -381,11 +384,17 @@ def test_build_event_state_dispatch():
 def test_timed_tl_reduces_to_fuzzy_and_profile_table(seed):
     rng = rng_for(seed)
     sc = random_timed_tl_scenario(rng, n_bins=3)
-    timed = build_timed_state(sc)
-    assert validate_density(timed.rho).ok
-    np.testing.assert_allclose(trace_out_timers(timed).rho, build_tl_fuzzy(sc).rho, atol=1e-10)
-    ref = joint_time_distribution(sc.timing.profile_a, sc.timing.profile_b, "TL")
-    np.testing.assert_allclose(timer_distribution(timed).table, ref.table, atol=1e-10)
+    # the same scenario with conditional rows inside PROFILE_NORM_TOL of unit
+    # mass, each off by a different amount
+    cond = sc.timing.profile_b
+    rows = cond.amplitudes * np.sqrt(1.0 + 8e-7 * np.array([-1.0, 0.5, 1.0]))[:, None]
+    skewed = TimingProfile(grid=cond.grid, kind="conditional", amplitudes=rows)
+    for sc in (sc, dataclasses.replace(sc, timing=EventTiming(profile_a=sc.timing.profile_a, profile_b=skewed))):
+        timed = build_timed_state(sc)
+        assert validate_density(timed.rho).ok
+        np.testing.assert_allclose(trace_out_timers(timed).rho, build_tl_fuzzy(sc).rho, atol=1e-10)
+        ref = joint_time_distribution(sc.timing.profile_a, sc.timing.profile_b, "TL")
+        np.testing.assert_allclose(timer_distribution(timed).table, ref.table, atol=1e-10)
 
 
 @given(st.integers(0, 5_000))

@@ -144,6 +144,24 @@ def test_product_table_far_from_origin_stays_clean():
     assert time_correlation(dist) == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")  # 8 bins truncate the decay
+def test_time_witnesses_ignore_the_grid_origin():
+    # at t0 = 1e16 the absolute times of neighbouring bins round together
+    near, far = (TimeGrid(t0=t0, dt=0.25, n_bins=8) for t0 in (0.0, 1e16))
+    for maker in (exponential_profile, exponential_conditional):
+        np.testing.assert_array_equal(maker(0.7, far).amplitudes, maker(0.7, near).amplitudes)
+    table = joint_time_distribution(
+        exponential_profile(0.7, near), exponential_conditional(0.7, near), "TL"
+    ).table
+    dist_near, dist_far = (JointTimeDistribution(grid=g, kind="TL", table=table) for g in (near, far))
+    assert time_correlation(dist_far) == time_correlation(dist_near)
+    assert time_correlation(dist_near) > 0.0
+    assert chebyshev_check(dist_far) == chebyshev_check(dist_near)
+    np.testing.assert_array_equal(
+        conditional_mean_arrival(dist_far), 1e16 + conditional_mean_arrival(dist_near)
+    )
+
+
 def test_exact_lag_gives_variance_of_first_time():
     grid = TimeGrid(t0=0.0, dt=0.5, n_bins=10)
     rng = rng_for(14)
