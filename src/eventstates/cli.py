@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -140,9 +141,10 @@ def _cmd_witness(args) -> int:
     else:
         timing = loaded.scenario.timing
         if timing is not None:
-            table = np.abs(timing.cell_amplitudes()) ** 2
-            dist = JointTimeDistribution(grid=timing.grid, kind=loaded.scenario.kind, table=table)
-            reports.append(time_witness(dist))
+            # no name holds the n x n table, so it is freed before the record build forms its own
+            reports.append(
+                time_witness(JointTimeDistribution(timing.grid, loaded.scenario.kind, timing.cell_masses()))
+            )
         reports.append(coherence_witness(build_event_state(loaded.scenario)))
     reports.reverse()
 
@@ -366,8 +368,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Warnings print as one "warning: <message>" line each, like errors.
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.handler(args)
     except FileNotFoundError as exc:
@@ -380,3 +388,5 @@ def main(argv: list[str] | None = None) -> int:
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .policy import (
     EIGENVALUE_FLOOR,
@@ -49,6 +50,7 @@ from .timing import (
     TimeGrid,
     TimingProfile,
     _cell_amplitudes,
+    _cell_masses,
 )
 
 __all__ = [
@@ -111,7 +113,9 @@ class EventTiming:
             mass = float(np.sum(np.abs(amps) ** 2) * self.joint_grid.dt**2)
             if mass <= 0.0:
                 raise NumericsError("joint amplitude table carries no mass")
-            object.__setattr__(self, "joint_amplitudes", _readonly(amps / np.sqrt(mass)))
+            amps = amps / np.sqrt(mass)
+            amps.setflags(write=False)
+            object.__setattr__(self, "joint_amplitudes", amps)
             return
         if self.profile_a is None or self.profile_b is None:
             raise ScenarioError("timing needs both profiles (or a joint table)")
@@ -135,6 +139,21 @@ class EventTiming:
         if self.joint_amplitudes is not None:
             return self.grid.dt * self.joint_amplitudes
         return _cell_amplitudes(self.profile_a, self.profile_b)
+
+    def cell_masses(self) -> np.ndarray:
+        """Probability of each grid cell (k, l): |cell amplitude|^2 as one read-only real array.
+
+        ``dt^2 |chi_a(t_k)|^2 |chi_b(t_l [| t_k])|^2`` for two profiles, or
+        ``|dt * joint|^2`` for a joint table; the masses sum to 1.  The table
+        is built in place, without forming the complex cell amplitudes.
+        """
+        if self.joint_amplitudes is None:
+            return _cell_masses(self.profile_a, self.profile_b)
+        masses = np.abs(self.joint_amplitudes)
+        masses *= self.grid.dt
+        np.square(masses, out=masses)
+        masses.setflags(write=False)
+        return masses
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,14 +457,17 @@ def build_tl_fuzzy(scenario: EventScenario) -> EventState:
     rho_t = np.einsum("kij,jJ,kIJ->kiI", ufam, rho0, ufam.conj())
     rho_rec = np.einsum("ai,kiI,AI->kaA", ka.conj(), rho_t, ka)
 
-    joint_w = np.abs(timing.cell_amplitudes()) ** 2
+    joint_w = timing.cell_masses()
 
     # Regroup the double time sum by lag g = l - k: the inter-event evolution
-    # depends on the lag alone on a uniform grid.
-    lag_w = np.zeros((n, n))
-    k, l = np.triu_indices(n)
-    lag_w[k, l - k] = joint_w[k, l]
-    summed = np.einsum("kg,kaA->gaA", lag_w, rho_rec)
+    # depends on the lag alone on a uniform grid.  lag_w[k, g] = joint_w[k, k + g]
+    # is a view stepping n + 1 entries per row; where k + g >= n it wraps into
+    # the next row's lower triangle, which the conditional profile holds at
+    # exactly zero.  The last row has no next row and only its g = 0 cell.
+    step = joint_w.strides[1]
+    lag_w = as_strided(joint_w, shape=(n - 1, n), strides=((n + 1) * step, step), writeable=False)
+    summed = np.einsum("kg,kaA->gaA", lag_w, rho_rec[:-1])
+    summed[0] += joint_w[-1, -1] * rho_rec[-1]
     hops = np.einsum("bi,gij,aj->gba", kb.conj(), ufam, ka)
     blocks = np.einsum("gba,gaA,gbA->baA", hops, summed, hops.conj())
     return EventState(

@@ -241,9 +241,10 @@ class DensityCheck:
 def validate_density(op) -> DensityCheck:
     """Report how far ``op`` is from being a valid density matrix."""
     mat = as_operator(op, name="operator")
-    herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
+    adjoint = mat.conj().T
+    herm_defect = float(np.max(np.abs(mat - adjoint)))
     trace_defect = float(abs(np.trace(mat) - 1.0))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
+    min_eig = float(np.linalg.eigvalsh(0.5 * (mat + adjoint)).min())
     return DensityCheck(
         dim=mat.shape[0],
         hermiticity_defect=herm_defect,
@@ -284,6 +285,9 @@ def assert_unitary(op, *, name: str = "operator") -> np.ndarray:
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a read-only array, copied unless it already is one that owns its data."""
+    if not arr.flags.writeable and arr.flags.owndata:
+        return arr
     out = np.array(arr)
     out.setflags(write=False)
     return out

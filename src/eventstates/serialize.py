@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any
 
 import numpy as np
@@ -59,7 +60,9 @@ def _parts_to_array(data: dict, context: str) -> np.ndarray:
         raise ScenarioError(f"{context}: re/im shapes differ ({re.shape} vs {im.shape})")
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise ScenarioError(f"{context}: non-finite entries")
-    return re + 1j * im
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def operator_to_json(op: np.ndarray) -> dict:
@@ -164,30 +167,55 @@ def chsh_report_to_json(report) -> dict:
     }
 
 
-def _rounded(value: Any) -> Any:
+def _float_text(x: float) -> str:
+    """JSON text of one float rounded to 12 significant digits."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    return repr(float(f"{x:.12g}"))
+
+
+def _float_array_text(values: list) -> str:
+    """JSON array of plain floats, each rounded to 12 significant digits."""
+    text = ",".join(map(repr, map(float, map("{:.12g}".format, values))))
+    # A finite float's repr never holds an "n"; "nan" and "inf" do.
+    if "n" in text:
+        for x in values:
+            _float_text(x)
+    return f"[{text}]"
+
+
+def _encode(value: Any) -> str:
+    """Canonical JSON text of ``value``, built directly from the values."""
     if isinstance(value, bool):
-        return value
+        return "true" if value else "false"
     if isinstance(value, (np.floating, float)):
-        x = float(value)
-        if not math.isfinite(x):
-            raise ValueError(f"cannot serialize non-finite float {x!r}")
-        return float(f"{x:.12g}")
+        return _float_text(float(value))
     if isinstance(value, (np.integer, int)):
-        return int(value)
+        return int.__repr__(int(value))
     if isinstance(value, np.ndarray):
-        return _rounded(value.tolist())
+        return _encode(value.tolist())
     if isinstance(value, dict):
-        return {str(k): _rounded(v) for k, v in value.items()}
+        fields = {str(k): _encode(v) for k, v in value.items()}
+        return "{" + ",".join(f"{_json_string(k)}:{fields[k]}" for k in sorted(fields)) + "}"
     if isinstance(value, (list, tuple)):
-        return [_rounded(v) for v in value]
-    if value is None or isinstance(value, str):
-        return value
+        if set(map(type, value)) == {float}:
+            return _float_array_text(value)
+        return "[" + ",".join(map(_encode, value)) + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return _json_string(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def canonical_dumps(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, 12-significant-digit floats."""
-    return json.dumps(_rounded(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """Deterministic JSON text: sorted keys, 12-significant-digit floats, no whitespace.
+
+    Non-finite floats raise ValueError.  The text is written directly from
+    the values (lists of floats one join each), without a rounded copy of
+    the payload.
+    """
+    return _encode(obj)
 
 
 def save_state(path: str, state: EventState) -> None:

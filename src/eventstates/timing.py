@@ -88,6 +88,10 @@ class TimingProfile:
     diagonal are exactly zero.  Input within ``PROFILE_NORM_TOL`` of unit
     mass is accepted and stored rescaled to exact unit mass (the whole
     vector, or each row), so every reader sees the same normalized masses.
+
+    Amplitudes keep their kind: complex input is stored as complex128 and
+    any other input (the exponential and delta profiles are real) as
+    float64, so a real n x n profile costs half a complex one.
     """
 
     grid: TimeGrid
@@ -95,17 +99,21 @@ class TimingProfile:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        amps = amps.astype(complex if np.iscomplexobj(amps) else float, copy=False)
         n = self.grid.n_bins
         if self.kind not in (MARGINAL, CONDITIONAL):
             raise ValueError(f"kind must be {MARGINAL!r} or {CONDITIONAL!r}, got {self.kind!r}")
         shape = (n,) if self.kind == MARGINAL else (n, n)
         if amps.shape != shape:
             raise ValueError(f"{self.kind} profile needs shape {shape}, got {amps.shape}")
-        if self.kind == CONDITIONAL and np.any(amps[np.tril_indices(n, k=-1)] != 0.0):
+        if self.kind == CONDITIONAL and np.any(amps, where=np.tri(n, k=-1, dtype=bool)):
             raise NumericsError("conditional profile must be exactly zero below the diagonal")
-        # One mass for a marginal, one per row for a conditional profile.
-        mass = np.sum(np.abs(amps) ** 2, axis=-1, keepdims=True) * self.grid.dt
+        # One mass for a marginal, one per row for a conditional profile,
+        # summed from a single real temporary.
+        sq = np.abs(amps)
+        mass = np.sum(np.square(sq, out=sq), axis=-1, keepdims=True) * self.grid.dt
+        del sq
         worst = float(np.max(np.abs(mass - 1.0)))
         if worst > PROFILE_NORM_TOL and self.kind == MARGINAL:
             raise NumericsError(f"marginal profile not normalized: mass {mass[0]:.8f}")
@@ -114,7 +122,9 @@ class TimingProfile:
         if not np.all(np.isfinite(amps)):
             raise ValueError("profile amplitudes must be finite")
         # The rescaled copy is the stored one (no second copy of n x n rows).
-        amps = amps / np.sqrt(mass)
+        # Complex division by a real scale multiplies by its reciprocal, so
+        # doing the same here scales a real profile exactly like its complex twin.
+        amps = amps * (1.0 / np.sqrt(mass))
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -207,15 +217,14 @@ def exponential_conditional(gamma: float, grid: TimeGrid) -> TimingProfile:
     # row k's window holds the first n - k lags.
     lagged = sliding_window_view(np.concatenate([np.zeros(n - 1), decay]), n)[::-1]
     norms = np.sqrt(np.cumsum(decay**2)[::-1] * grid.dt)
-    amps = np.divide(lagged, norms[:, None], out=np.empty((n, n), dtype=complex))
-    return TimingProfile(grid=grid, kind=CONDITIONAL, amplitudes=amps)
+    return TimingProfile(grid=grid, kind=CONDITIONAL, amplitudes=lagged / norms[:, None])
 
 
 def delta_profile(grid: TimeGrid, bin_index: int) -> TimingProfile:
     """Marginal profile with all mass in a single bin."""
     if not (0 <= bin_index < grid.n_bins):
         raise ValueError(f"bin index {bin_index} outside grid of {grid.n_bins} bins")
-    amps = np.zeros(grid.n_bins, dtype=complex)
+    amps = np.zeros(grid.n_bins)
     amps[bin_index] = 1.0 / math.sqrt(grid.dt)
     return TimingProfile(grid=grid, kind=MARGINAL, amplitudes=amps)
 
@@ -228,7 +237,7 @@ def delta_conditional(grid: TimeGrid, lag_bins: int) -> TimingProfile:
     if lag_bins < 0:
         raise ValueError(f"lag must be nonnegative, got {lag_bins}")
     n = grid.n_bins
-    amps = np.zeros((n, n), dtype=complex)
+    amps = np.zeros((n, n))
     rows = np.arange(n)
     cols = np.minimum(rows + min(lag_bins, n - 1), n - 1)
     amps[rows, cols] = 1.0 / math.sqrt(grid.dt)
@@ -300,7 +309,7 @@ class JointTimeDistribution:
             raise NumericsError(f"joint time table not normalized: total {total:.8f}")
         if self.kind not in ("SL", "TL"):
             raise ValueError(f"kind must be 'SL' or 'TL', got {self.kind!r}")
-        if self.kind == "TL" and np.any(table[np.tril_indices(n, k=-1)] != 0.0):
+        if self.kind == "TL" and np.any(table, where=np.tri(n, k=-1, dtype=bool)):
             raise NumericsError("ordered table must be exactly zero below the diagonal")
         object.__setattr__(self, "table", _readonly(table))
 
@@ -325,6 +334,24 @@ def _cell_amplitudes(profile_a: TimingProfile, profile_b: TimingProfile) -> np.n
     return profile_a.grid.dt * profile_a.amplitudes[:, None] * profile_b.amplitudes
 
 
+def _cell_masses(profile_a: TimingProfile, profile_b: TimingProfile) -> np.ndarray:
+    """Mass dt^2 |chi_a(t_k)|^2 |chi_b(t_l)|^2 of each grid cell (k, l), read-only.
+
+    The squared modulus of :func:`_cell_amplitudes`, formed as
+    (dt |chi_a(t_k)| |chi_b(t_l)|)^2 in one real n x n array: no complex
+    product and no second array for the square.
+    """
+    scale = profile_a.grid.dt * np.abs(profile_a.amplitudes)
+    masses = np.abs(profile_b.amplitudes)
+    if masses.ndim == 1:
+        masses = np.multiply.outer(scale, masses)
+    else:
+        masses *= scale[:, None]
+    np.square(masses, out=masses)
+    masses.setflags(write=False)
+    return masses
+
+
 def joint_time_distribution(
     profile_a: TimingProfile, profile_b: TimingProfile, kind: str
 ) -> JointTimeDistribution:
@@ -345,5 +372,4 @@ def joint_time_distribution(
             raise ValueError("ordered events need a conditional second profile")
     else:
         raise ValueError(f"kind must be 'SL' or 'TL', got {kind!r}")
-    table = np.abs(_cell_amplitudes(profile_a, profile_b)) ** 2
-    return JointTimeDistribution(grid=profile_a.grid, kind=kind, table=table)
+    return JointTimeDistribution(grid=profile_a.grid, kind=kind, table=_cell_masses(profile_a, profile_b))

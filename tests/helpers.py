@@ -1,5 +1,7 @@
 """Seeded generators shared by the test modules."""
 
+import tracemalloc
+
 import numpy as np
 
 from eventstates import EventScenario, EventTiming, MeasurementModel, TimeGrid, TimingProfile
@@ -107,3 +109,26 @@ def random_timed_sl_scenario(rng: np.random.Generator, n_bins: int = 3) -> Event
             profile_b=random_marginal_profile(rng, grid),
         ),
     )
+
+
+# Memory budgets are stated in real n x n tables at this grid size, with room
+# for a few dozen length-n vectors on top.
+BUDGET_BINS = 1024
+REAL_TABLE_BYTES = 8 * BUDGET_BINS**2
+VECTOR_ALLOWANCE_BYTES = 64 * 8 * BUDGET_BINS
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it held above what was live before the call."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak

@@ -507,6 +507,23 @@ def test_demo_decay_rejects_coarse_grids(capsys):
     assert "gamma * dt" in err
 
 
+def test_warnings_print_as_one_line_each_before_the_error(tmp_path):
+    # a coarse, truncating exponential grid warns twice before the lag is refused
+    path = tmp_path / "huge_lag.json"
+    path.write_text(json.dumps(_timed_tl(profile_b={"type": "delta", "conditional": True, "lag_bins": 1e308})))
+    result = subprocess.run(
+        [sys.executable, "-m", "eventstates", "validate", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["warning", "warning", "error"]
+    assert "grid is coarse" in lines[0]
+    assert "truncates" in lines[1]
+    assert lines[2].startswith("error: timing.profileB:")
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "eventstates", "validate", _bundled("bell_sl.json")],

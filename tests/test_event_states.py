@@ -34,6 +34,9 @@ from eventstates import (
 )
 
 from helpers import (
+    BUDGET_BINS,
+    REAL_TABLE_BYTES,
+    VECTOR_ALLOWANCE_BYTES,
     random_basis,
     random_conditional_profile,
     random_density,
@@ -46,6 +49,7 @@ from helpers import (
     random_tl_scenario,
     random_unitary,
     rng_for,
+    traced_peak,
 )
 
 
@@ -305,6 +309,51 @@ def test_tl_fuzzy_matches_double_time_average(seed):
     sc = random_timed_tl_scenario(rng, n_bins=4)
     state = build_tl_fuzzy(sc)
     np.testing.assert_allclose(state.rho, _tl_fuzzy_oracle(sc), atol=1e-10)
+
+
+# tiny grids truncate the exponential decay and warn about it
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("profiles", ["complex", "exponential"])
+@pytest.mark.parametrize("n_bins", [2, 3, 5])
+def test_tl_fuzzy_lag_view_matches_longhand_double_sum(n_bins, profiles):
+    # the lag regroup reads past each row's end into the next row's lower triangle
+    rng = rng_for(40 + n_bins)
+    sc = random_timed_tl_scenario(rng, n_bins=n_bins, dim=3)
+    if profiles == "exponential":
+        grid = sc.timing.grid
+        timing = EventTiming(profile_a=exponential_profile(0.7, grid), profile_b=exponential_conditional(0.7, grid))
+        sc = dataclasses.replace(sc, timing=timing)
+    np.testing.assert_allclose(build_tl_fuzzy(sc).rho, _tl_fuzzy_oracle(sc), atol=1e-12)
+
+
+def test_tl_fuzzy_peaks_at_two_real_tables_above_its_inputs():
+    grid = TimeGrid(t0=0.0, dt=0.02, n_bins=BUDGET_BINS)
+    sc = EventScenario(
+        kind="TL",
+        initial=np.array([0.6, 0.8]),
+        basis_a=MeasurementModel.sz(),
+        basis_b=MeasurementModel.sx(),
+        hamiltonian=np.array([[0.0, 0.5], [0.5, 0.0]]),
+        timing=EventTiming(profile_a=exponential_profile(1.0, grid), profile_b=exponential_conditional(1.0, grid)),
+    )
+    state, peak = traced_peak(build_tl_fuzzy, sc)
+    assert state.rho.shape == (4, 4)
+    assert peak <= 2 * REAL_TABLE_BYTES + VECTOR_ALLOWANCE_BYTES
+
+
+@pytest.mark.parametrize("kind", ["SL", "TL", "joint"])
+def test_cell_masses_are_squared_cell_amplitudes(kind):
+    rng = rng_for(44)
+    grid = TimeGrid(t0=0.3, dt=0.2, n_bins=5)
+    if kind == "joint":
+        timing = EventTiming(joint_amplitudes=rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), joint_grid=grid)
+    else:
+        second = random_marginal_profile if kind == "SL" else random_conditional_profile
+        timing = EventTiming(profile_a=random_marginal_profile(rng, grid), profile_b=second(rng, grid))
+    masses = timing.cell_masses()
+    assert masses.dtype == np.float64 and not masses.flags.writeable
+    np.testing.assert_allclose(masses, np.abs(timing.cell_amplitudes()) ** 2, rtol=1e-13, atol=0.0)
+    assert masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fuzzy_with_zero_hamiltonian_reduces_to_instant():

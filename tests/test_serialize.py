@@ -1,11 +1,13 @@
 """Round-trips and canonical-form guarantees for the JSON layer."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eventstates import (
     ScenarioError,
@@ -177,6 +179,94 @@ def test_canonical_dumps_rejects_non_finite():
         canonical_dumps({"x": float("inf")})
     with pytest.raises(TypeError):
         canonical_dumps({"x": object()})
+
+
+def _rounded_oracle(value):
+    """The rounded copy canonical_dumps used to hand to json.dumps."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (np.floating, float)):
+        x = float(value)
+        if not math.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite float {x!r}")
+        return float(f"{x:.12g}")
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return _rounded_oracle(value.tolist())
+    if isinstance(value, dict):
+        return {str(k): _rounded_oracle(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded_oracle(v) for v in value]
+    if value is None or isinstance(value, str):
+        return value
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _oracle_dumps(obj):
+    return json.dumps(_rounded_oracle(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _outcome(dumps, obj):
+    try:
+        return dumps(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_payload_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _finite,
+    st.text(),
+    _finite.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.lists(_finite, max_size=8),
+    hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=4), elements=_finite),
+    hnp.arrays(np.int64, hnp.array_shapes(max_dims=2, max_side=4)),
+    hnp.arrays(np.bool_, hnp.array_shapes(max_dims=2, max_side=4)),
+)
+_payloads = st.recursive(
+    _payload_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers(-3, 3)), inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_payloads)
+@settings(deadline=None, max_examples=300)
+def test_canonical_dumps_matches_rounded_json_dumps(payload):
+    assert canonical_dumps(payload) == _oracle_dumps(payload)
+
+
+@given(_payloads, st.sampled_from([float("nan"), float("inf"), -float("inf")]), st.integers(0, 3))
+@settings(deadline=None, max_examples=150)
+def test_canonical_dumps_refuses_non_finite_like_the_rounded_oracle(payload, bad, where):
+    # the non-finite value as a scalar, in a float list, in an array, or beside the payload
+    carrier = [bad, [1.0, bad], np.array([[0.5, bad]]), {"z": payload, "a": bad}][where]
+    for obj in ({"payload": payload, "bad": carrier}, [carrier, payload]):
+        expected = _outcome(_oracle_dumps, obj)
+        assert isinstance(expected, tuple)
+        assert _outcome(canonical_dumps, obj) == expected
+
+
+def test_canonical_dumps_matches_the_oracle_on_state_payloads():
+    rng = rng_for(71)
+    for state in (build_timed_state(random_timed_tl_scenario(rng)), build_tl_instant(random_tl_scenario(rng))):
+        payload = state_to_json(state)
+        assert canonical_dumps(payload) == _oracle_dumps(payload)
+
+
+def test_canonical_dumps_refuses_what_the_oracle_refuses():
+    for obj in ({"x": 1 + 2j}, [np.bool_(True)], {"k": object()}, [1.0, float("nan"), float("inf")]):
+        assert _outcome(canonical_dumps, obj) == _outcome(_oracle_dumps, obj)
 
 
 def test_chsh_report_serializes_flat():

@@ -20,7 +20,15 @@ from eventstates import (
 )
 from eventstates.timing import branching_amplitude, exponential_tail_mass
 
-from helpers import random_conditional_profile, random_marginal_profile, rng_for
+from helpers import (
+    BUDGET_BINS,
+    REAL_TABLE_BYTES,
+    VECTOR_ALLOWANCE_BYTES,
+    random_conditional_profile,
+    random_marginal_profile,
+    rng_for,
+    traced_peak,
+)
 
 
 def test_grid_validation_and_times():
@@ -47,6 +55,50 @@ def test_conditional_profile_rejects_lower_triangle():
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2, axis=1, keepdims=True) * grid.dt)
     with pytest.raises(NumericsError):
         TimingProfile(grid=grid, kind="conditional", amplitudes=amps)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("cell", [(1, 0), (3, 0), (3, 2), (2, 1)])
+def test_conditional_profile_rejects_one_entry_below_the_diagonal(dtype, cell):
+    grid = TimeGrid(t0=0.0, dt=0.25, n_bins=4)
+    amps = np.triu(np.ones((4, 4), dtype=dtype))
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2, axis=1, keepdims=True) * grid.dt)
+    TimingProfile(grid=grid, kind="conditional", amplitudes=amps)
+    # far too small to move any row mass, but not exactly zero
+    amps[cell] = 1e-300
+    with pytest.raises(NumericsError, match="below the diagonal"):
+        TimingProfile(grid=grid, kind="conditional", amplitudes=amps)
+
+
+def test_profile_dtype_follows_input():
+    grid = exponential_grid(1.0, 0.05)
+    assert exponential_profile(1.0, grid).amplitudes.dtype == np.float64
+    assert exponential_conditional(1.0, grid).amplitudes.dtype == np.float64
+    assert delta_profile(grid, 1).amplitudes.dtype == np.float64
+    assert delta_conditional(grid, 1).amplitudes.dtype == np.float64
+    quarters = TimeGrid(t0=0.0, dt=0.25, n_bins=4)
+    ones = TimingProfile(grid=quarters, kind="marginal", amplitudes=[1, 1, 1, 1])
+    assert ones.amplitudes.dtype == np.float64
+    phased = TimingProfile(grid=quarters, kind="marginal", amplitudes=np.full(4, 1j))
+    assert phased.amplitudes.dtype == np.complex128
+    np.testing.assert_array_equal(np.abs(phased.amplitudes), ones.amplitudes)
+
+
+def test_exponential_conditional_peaks_at_two_real_tables():
+    # the caller's real table and one more: the mass temporary, then the rescaled copy
+    grid = TimeGrid(t0=0.0, dt=0.02, n_bins=BUDGET_BINS)
+    profile, peak = traced_peak(exponential_conditional, 1.0, grid)
+    assert profile.amplitudes.dtype == np.float64
+    assert peak <= 2 * REAL_TABLE_BYTES + VECTOR_ALLOWANCE_BYTES
+
+
+def test_ordered_joint_distribution_peaks_at_two_real_tables_above_its_inputs():
+    # the cell-mass table itself plus boolean masks; no complex product, no |.|^2 copy
+    grid = TimeGrid(t0=0.0, dt=0.02, n_bins=BUDGET_BINS)
+    pa, pb = exponential_profile(1.0, grid), exponential_conditional(1.0, grid)
+    dist, peak = traced_peak(joint_time_distribution, pa, pb, "TL")
+    assert dist.table.sum() == pytest.approx(1.0, abs=1e-12)
+    assert peak <= 2 * REAL_TABLE_BYTES + VECTOR_ALLOWANCE_BYTES
 
 
 def test_exponential_grid_covers_tail():
