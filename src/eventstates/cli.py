@@ -67,8 +67,8 @@ def _load_any(path: str) -> tuple[EventState | None, ScenarioFile | None]:
     return None, loaded
 
 
-def _detector_state(path: str) -> EventState:
-    state, loaded = _load_any(path)
+def _detector_state(state: EventState | None, loaded: ScenarioFile | None) -> EventState:
+    """The detector-space record state of what :func:`_load_any` read."""
     if state is None:
         state = build_event_state(loaded.scenario)
     if state.timers is not None:
@@ -133,26 +133,17 @@ def _cmd_build(args) -> int:
 def _cmd_witness(args) -> int:
     state, loaded = _load_any(args.path)
     reports = []
-    if state is not None:
-        if state.timers is not None:
+    if args.kind != "coherence":
+        if state is not None and state.timers is not None:
             reports.append(time_witness(timer_distribution(state)))
-            state = trace_out_timers(state)
-        reports.append(coherence_witness(state))
-    else:
-        timing = loaded.scenario.timing
-        if timing is not None:
+        elif state is None and loaded.scenario.timing is not None:
+            timing = loaded.scenario.timing
             # no name holds the n x n table, so it is freed before the record build forms its own
-            reports.append(
-                time_witness(JointTimeDistribution(timing.grid, loaded.scenario.kind, timing.cell_masses()))
-            )
-        reports.append(coherence_witness(build_event_state(loaded.scenario)))
-    reports.reverse()
-
-    if args.kind != "all":
-        wanted = {"coherence": "record-coherence", "timecorr": "time-correlation"}[args.kind]
-        reports = [r for r in reports if r.witness == wanted]
-        if not reports:
+            reports.append(time_witness(JointTimeDistribution(timing.grid, timing.kind, timing.cell_masses())))
+        elif args.kind == "timecorr":
             raise ScenarioError(f"{args.path}: no timing information for the {args.kind} witness")
+    if args.kind != "timecorr":
+        reports.insert(0, coherence_witness(_detector_state(state, loaded)))
 
     if args.csv:
         writer = csv.writer(sys.stdout)
@@ -171,7 +162,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_discriminate(args) -> int:
-    state = _detector_state(args.path)
+    state = _detector_state(*_load_any(args.path))
     report = predict_future_outcome(state)
     payload = {"success": report.success, "exact": report.exact}
     lines = [f"p_suc = {report.success:.6f}", f"exact = {'true' if report.exact else 'false'}"]
@@ -186,7 +177,7 @@ def _cmd_discriminate(args) -> int:
 
 
 def _cmd_classical_corr(args) -> int:
-    state = _detector_state(args.path)
+    state = _detector_state(*_load_any(args.path))
     report = classical_correlation(state)
     _emit(
         args,
@@ -201,7 +192,7 @@ def _chsh_output(loaded: ScenarioFile):
     if loaded.chsh_angles is None:
         raise ScenarioError(f"{loaded.source}: no chsh settings in scenario")
     angles_a, angles_b = loaded.chsh_angles
-    scenarios = chsh_scenarios(loaded.scenario.initial, angles_a, angles_b)
+    scenarios = chsh_scenarios(loaded.scenario.initial_density(), angles_a, angles_b)
     report = chsh_value([build_event_state(s) for s in scenarios])
     lines = [
         "E = " + ", ".join(f"{e:+.6f}" for e in report.correlators),

@@ -43,15 +43,8 @@ from .quantum_core import (
     assert_density,
     assert_unitary,
 )
-from .timing import (
-    CONDITIONAL,
-    MARGINAL,
-    JointTimeDistribution,
-    TimeGrid,
-    TimingProfile,
-    _cell_amplitudes,
-    _cell_masses,
-)
+# CONDITIONAL, MARGINAL and TimingProfile are unused here but stay importable from this module.
+from .timing import CONDITIONAL, MARGINAL, EventTiming, JointTimeDistribution, TimeGrid, TimingProfile
 
 __all__ = [
     "EventTiming",
@@ -83,77 +76,16 @@ def _assert_hermitian(mat: np.ndarray, *, name: str) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True, eq=False)
-class EventTiming:
-    """Detection-time model for a scenario.
-
-    Either two profiles (first marginal; second marginal for independent
-    events, conditional for ordered ones), or a raw joint amplitude table on
-    a grid for independent events whose detection times are correlated.  A
-    joint table is renormalized so its cell masses |chi dt|^2 sum to 1.
-    """
-
-    profile_a: TimingProfile | None = None
-    profile_b: TimingProfile | None = None
-    joint_amplitudes: np.ndarray | None = None
-    joint_grid: TimeGrid | None = None
-
-    def __post_init__(self):
-        if self.joint_amplitudes is not None:
-            if self.profile_a is not None or self.profile_b is not None:
-                raise ScenarioError("give either two profiles or a joint table, not both")
-            if self.joint_grid is None:
-                raise ScenarioError("a joint amplitude table needs a grid")
-            n = self.joint_grid.n_bins
-            amps = np.asarray(self.joint_amplitudes, dtype=complex)
-            if amps.shape != (n, n):
-                raise ScenarioError(f"joint table needs shape ({n}, {n}), got {amps.shape}")
-            if not np.all(np.isfinite(amps)):
-                raise ScenarioError("joint table has non-finite entries")
-            mass = float(np.sum(np.abs(amps) ** 2) * self.joint_grid.dt**2)
-            if mass <= 0.0:
-                raise NumericsError("joint amplitude table carries no mass")
-            amps = amps / np.sqrt(mass)
-            amps.setflags(write=False)
-            object.__setattr__(self, "joint_amplitudes", amps)
-            return
-        if self.profile_a is None or self.profile_b is None:
-            raise ScenarioError("timing needs both profiles (or a joint table)")
-        if self.profile_a.kind != MARGINAL:
-            raise ScenarioError("the first profile must be marginal")
-        if self.profile_a.grid != self.profile_b.grid:
-            raise ScenarioError("timing profiles live on different grids")
-
-    @property
-    def grid(self) -> TimeGrid:
-        if self.joint_grid is not None:
-            return self.joint_grid
-        return self.profile_a.grid
-
-    def cell_amplitudes(self) -> np.ndarray:
-        """Amplitude of each grid cell (k, l), first firing at bin k and second at bin l.
-
-        ``dt * chi_a(t_k) * chi_b(t_l [| t_k])`` for two profiles, or ``dt`` times
-        the joint table; the cell masses |amplitude|^2 sum to 1.
-        """
-        if self.joint_amplitudes is not None:
-            return self.grid.dt * self.joint_amplitudes
-        return _cell_amplitudes(self.profile_a, self.profile_b)
-
-    def cell_masses(self) -> np.ndarray:
-        """Probability of each grid cell (k, l): |cell amplitude|^2 as one read-only real array.
-
-        ``dt^2 |chi_a(t_k)|^2 |chi_b(t_l [| t_k])|^2`` for two profiles, or
-        ``|dt * joint|^2`` for a joint table; the masses sum to 1.  The table
-        is built in place, without forming the complex cell amplitudes.
-        """
-        if self.joint_amplitudes is None:
-            return _cell_masses(self.profile_a, self.profile_b)
-        masses = np.abs(self.joint_amplitudes)
-        masses *= self.grid.dt
-        np.square(masses, out=masses)
-        masses.setflags(write=False)
-        return masses
+# Operator fields of a scenario: the arrangements each applies to, the check
+# it must pass, and the space it acts on (the system, or factor A or B).
+_OPERATOR_FIELDS = (
+    ("evolution", ("TL",), assert_unitary, "system"),
+    ("evolution_a", ("SL",), assert_unitary, "A"),
+    ("evolution_b", ("SL",), assert_unitary, "B"),
+    ("hamiltonian", ("SL", "TL"), _assert_hermitian, "system"),
+    ("hamiltonian_a", ("SL",), _assert_hermitian, "A"),
+    ("hamiltonian_b", ("SL",), _assert_hermitian, "B"),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +94,8 @@ class EventScenario:
 
     ``kind="SL"`` describes two independent measurements on the two factors
     of a bipartite system; ``kind="TL"`` describes two measurements on the
-    same system, with ``evolution`` applied between them.  ``evolution_a`` /
+    same system, with ``evolution`` applied between them (sharp builds only;
+    timed ordered events evolve under ``hamiltonian``).  ``evolution_a`` /
     ``evolution_b`` optionally rotate the two factors of an independent pair
     before anything fires.  Hamiltonians generate the in-flight evolution
     for time-averaged and timer-register builds: a single generator for
@@ -192,70 +125,42 @@ class EventScenario:
             initial = assert_density(initial, name="initial state")
         object.__setattr__(self, "initial", _readonly(initial))
         dim = initial.shape[0]
-        da, db = self.basis_a.dim, self.basis_b.dim
+        da, db = self.dims
 
-        if self.kind == "TL":
-            if not (da == db == dim):
-                raise ScenarioError(
-                    f"ordered events measure one system twice: need basis dims equal to "
-                    f"state dim {dim}, got {da} and {db}"
-                )
-            for field in ("evolution_a", "evolution_b", "hamiltonian_a", "hamiltonian_b"):
-                if getattr(self, field) is not None:
-                    raise ScenarioError(f"{field} only applies to independent event pairs")
-            if self.evolution is not None:
-                u = assert_unitary(self.evolution, name="evolution")
-                if u.shape[0] != dim:
-                    raise ScenarioError("evolution dimension does not match the system")
-                object.__setattr__(self, "evolution", _readonly(u))
-            if self.hamiltonian is not None:
-                h = _assert_hermitian(self.hamiltonian, name="hamiltonian")
-                if h.shape[0] != dim:
-                    raise ScenarioError("hamiltonian dimension does not match the system")
-                object.__setattr__(self, "hamiltonian", _readonly(h))
-        else:
-            if da * db != dim:
-                raise ScenarioError(
-                    f"independent events need basis dims whose product is the state dim: "
-                    f"{da} * {db} != {dim}"
-                )
-            if self.evolution is not None:
-                raise ScenarioError("an inter-event evolution only applies to ordered pairs")
-            for field, d in (("evolution_a", da), ("evolution_b", db)):
-                u = getattr(self, field)
-                if u is not None:
-                    u = assert_unitary(u, name=field)
-                    if u.shape[0] != d:
-                        raise ScenarioError(f"{field} dimension does not match its factor")
-                    object.__setattr__(self, field, _readonly(u))
-            if self.hamiltonian is not None and (
-                self.hamiltonian_a is not None or self.hamiltonian_b is not None
-            ):
-                raise ScenarioError("give either a joint hamiltonian or per-factor ones, not both")
-            if self.hamiltonian is not None:
-                h = _assert_hermitian(self.hamiltonian, name="hamiltonian")
-                if h.shape[0] != dim:
-                    raise ScenarioError("joint hamiltonian dimension does not match the system")
-                object.__setattr__(self, "hamiltonian", _readonly(h))
-            for field, d in (("hamiltonian_a", da), ("hamiltonian_b", db)):
-                h = getattr(self, field)
-                if h is not None:
-                    h = _assert_hermitian(h, name=field)
-                    if h.shape[0] != d:
-                        raise ScenarioError(f"{field} dimension does not match its factor")
-                    object.__setattr__(self, field, _readonly(h))
+        if self.kind == "TL" and not (da == db == dim):
+            raise ScenarioError(
+                f"ordered events measure one system twice: need basis dims equal to "
+                f"state dim {dim}, got {da} and {db}"
+            )
+        if self.kind == "SL" and da * db != dim:
+            raise ScenarioError(
+                f"independent events need basis dims whose product is the state dim: "
+                f"{da} * {db} != {dim}"
+            )
+        spaces = {"system": (dim, "the system"), "A": (da, "its factor"), "B": (db, "its factor")}
+        for field, kinds, check, space in _OPERATOR_FIELDS:
+            op = getattr(self, field)
+            if op is None:
+                continue
+            if self.kind not in kinds:
+                pairs = "ordered" if kinds == ("TL",) else "independent"
+                raise ScenarioError(f"{field} only applies to {pairs} event pairs")
+            op = check(op, name=field)
+            size, where = spaces[space]
+            if op.shape[0] != size:
+                raise ScenarioError(f"{field} dimension does not match {where}")
+            object.__setattr__(self, field, _readonly(op))
+        if self.hamiltonian is not None and (self.hamiltonian_a is not None or self.hamiltonian_b is not None):
+            raise ScenarioError("give either a joint hamiltonian or per-factor ones, not both")
 
         if self.timing is not None:
             if not isinstance(self.timing, EventTiming):
                 raise ScenarioError("timing must be an EventTiming")
-            if self.kind == "TL":
-                if self.timing.joint_amplitudes is not None:
-                    raise ScenarioError("a joint amplitude table only applies to independent pairs")
-                if self.timing.profile_b.kind != CONDITIONAL:
-                    raise ScenarioError("ordered events need a conditional second profile")
-            else:
-                if self.timing.joint_amplitudes is None and self.timing.profile_b.kind != MARGINAL:
-                    raise ScenarioError("independent events need a marginal second profile")
+            self.timing.require_kind(self.kind)
+            if self.evolution is not None:
+                raise ScenarioError(
+                    "timed ordered events evolve under the hamiltonian; give evolution or timing, not both"
+                )
 
     @property
     def dims(self) -> tuple[int, int]:

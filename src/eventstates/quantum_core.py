@@ -305,10 +305,8 @@ class MeasurementModel:
     labels: np.ndarray
 
     def __post_init__(self):
-        kets = np.asarray(self.kets, dtype=complex)
+        kets = as_operator(self.kets, name="basis kets")
         labels = np.asarray(self.labels, dtype=float)
-        if kets.ndim != 2 or kets.shape[0] != kets.shape[1]:
-            raise ValueError(f"basis kets must form a square matrix, got {kets.shape}")
         if labels.shape != (kets.shape[0],):
             raise ValueError("one label per basis ket required")
         if not np.all(np.isfinite(labels)):

@@ -19,7 +19,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
-from .event_states import EventScenario, EventTiming
+from .event_states import EventScenario
 from .policy import MAX_GRID_BINS, ScenarioError
 from .quantum_core import PAULI_X, PAULI_Y, PAULI_Z, MeasurementModel
 from .serialize import (
@@ -30,8 +30,7 @@ from .serialize import (
     profile_from_json,
 )
 from .timing import (
-    CONDITIONAL,
-    MARGINAL,
+    EventTiming,
     TimeGrid,
     TimingProfile,
     delta_conditional,

@@ -5,7 +5,10 @@ either by a discrete branching schedule (per-bin firing probabilities and
 phases) or by a continuum amplitude profile sampled on the grid.  Marginal
 profiles give the firing amplitude of a single detector; conditional
 profiles give, per trigger bin ``k``, the amplitude for a second detector
-firing at bin ``l >= k``.
+firing at bin ``l >= k``.  ``EventTiming`` pairs two profiles (or holds a
+joint amplitude table) for a scenario; its ``kind`` is the causal
+arrangement they describe, and its cell amplitudes and masses are the one
+measure every builder and time table reads.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .policy import PROFILE_NORM_TOL, NumericsError
+from .policy import PROFILE_NORM_TOL, NumericsError, ScenarioError
 from .quantum_core import _readonly
 
 __all__ = [
@@ -25,6 +28,7 @@ __all__ = [
     "TimingProfile",
     "BranchingSchedule",
     "JointTimeDistribution",
+    "EventTiming",
     "exponential_grid",
     "exponential_tail_mass",
     "exponential_profile",
@@ -182,8 +186,8 @@ def exponential_tail_mass(gamma: float, grid: TimeGrid) -> float:
 
 def _decay(gamma: float, grid: TimeGrid) -> np.ndarray:
     """sqrt(gamma) exp(-gamma tau / 2) at the elapsed times tau = dt * k of the grid."""
-    if gamma <= 0.0:
-        raise ValueError(f"decay rate must be positive, got {gamma}")
+    if not (0.0 < gamma < math.inf):
+        raise ValueError(f"decay rate must be positive and finite, got {gamma}")
     if gamma * grid.dt > 0.1:
         warnings.warn(
             f"gamma * dt = {gamma * grid.dt:.3g} > 0.1; grid is coarse for this decay rate",
@@ -324,32 +328,101 @@ class JointTimeDistribution:
         return self.table.sum(axis=0)
 
 
-def _cell_amplitudes(profile_a: TimingProfile, profile_b: TimingProfile) -> np.ndarray:
-    """Amplitude dt * chi_a(t_k) * chi_b(t_l) of each grid cell (k, l).
+@dataclass(frozen=True, eq=False)
+class EventTiming:
+    """Detection-time model for a scenario.
 
-    A marginal second profile broadcasts to the outer product of independent
-    firings; a conditional one scales row k by chi_b(t_l | t_k).  Since both
-    profiles are stored normalized, the cell masses |amplitude|^2 sum to 1.
+    Either two profiles (first marginal; second marginal for independent
+    events, conditional for ordered ones), or a raw joint amplitude table on
+    a grid for independent events whose detection times are correlated.  A
+    joint table is renormalized so its cell masses |chi dt|^2 sum to 1.
     """
-    return profile_a.grid.dt * profile_a.amplitudes[:, None] * profile_b.amplitudes
 
+    profile_a: TimingProfile | None = None
+    profile_b: TimingProfile | None = None
+    joint_amplitudes: np.ndarray | None = None
+    joint_grid: TimeGrid | None = None
 
-def _cell_masses(profile_a: TimingProfile, profile_b: TimingProfile) -> np.ndarray:
-    """Mass dt^2 |chi_a(t_k)|^2 |chi_b(t_l)|^2 of each grid cell (k, l), read-only.
+    def __post_init__(self):
+        if self.joint_amplitudes is not None:
+            if self.profile_a is not None or self.profile_b is not None:
+                raise ScenarioError("give either two profiles or a joint table, not both")
+            if self.joint_grid is None:
+                raise ScenarioError("a joint amplitude table needs a grid")
+            n = self.joint_grid.n_bins
+            amps = np.asarray(self.joint_amplitudes, dtype=complex)
+            if amps.shape != (n, n):
+                raise ScenarioError(f"joint table needs shape ({n}, {n}), got {amps.shape}")
+            if not np.all(np.isfinite(amps)):
+                raise ScenarioError("joint table has non-finite entries")
+            mass = float(np.sum(np.abs(amps) ** 2) * self.joint_grid.dt**2)
+            if mass <= 0.0:
+                raise NumericsError("joint amplitude table carries no mass")
+            amps = amps / np.sqrt(mass)
+            amps.setflags(write=False)
+            object.__setattr__(self, "joint_amplitudes", amps)
+            return
+        if self.profile_a is None or self.profile_b is None:
+            raise ScenarioError("timing needs both profiles (or a joint table)")
+        if self.profile_a.kind != MARGINAL:
+            raise ScenarioError("the first profile must be marginal")
+        if self.profile_a.grid != self.profile_b.grid:
+            raise ScenarioError("timing profiles live on different grids")
 
-    The squared modulus of :func:`_cell_amplitudes`, formed as
-    (dt |chi_a(t_k)| |chi_b(t_l)|)^2 in one real n x n array: no complex
-    product and no second array for the square.
-    """
-    scale = profile_a.grid.dt * np.abs(profile_a.amplitudes)
-    masses = np.abs(profile_b.amplitudes)
-    if masses.ndim == 1:
-        masses = np.multiply.outer(scale, masses)
-    else:
-        masses *= scale[:, None]
-    np.square(masses, out=masses)
-    masses.setflags(write=False)
-    return masses
+    @property
+    def grid(self) -> TimeGrid:
+        if self.joint_grid is not None:
+            return self.joint_grid
+        return self.profile_a.grid
+
+    @property
+    def kind(self) -> str:
+        """Causal arrangement these times describe: "TL" iff the second profile is conditional."""
+        return "TL" if self.profile_b is not None and self.profile_b.kind == CONDITIONAL else "SL"
+
+    def require_kind(self, kind: str) -> None:
+        """Raise :class:`ScenarioError` unless these times describe arrangement ``kind``."""
+        if self.kind == kind:
+            return
+        if self.joint_amplitudes is not None:
+            raise ScenarioError("a joint amplitude table only applies to independent pairs")
+        if kind == "TL":
+            raise ScenarioError("ordered events need a conditional second profile")
+        raise ScenarioError("independent events need a marginal second profile")
+
+    def cell_amplitudes(self) -> np.ndarray:
+        """Amplitude of each grid cell (k, l), first firing at bin k and second at bin l.
+
+        ``dt * chi_a(t_k) * chi_b(t_l [| t_k])`` for two profiles, or ``dt`` times
+        the joint table; the cell masses |amplitude|^2 sum to 1.  A marginal
+        second profile broadcasts to the outer product of independent
+        firings; a conditional one scales row k by chi_b(t_l | t_k).
+        """
+        if self.joint_amplitudes is not None:
+            return self.grid.dt * self.joint_amplitudes
+        return self.grid.dt * self.profile_a.amplitudes[:, None] * self.profile_b.amplitudes
+
+    def cell_masses(self) -> np.ndarray:
+        """Probability of each grid cell (k, l): |cell amplitude|^2 as one read-only real array.
+
+        ``dt^2 |chi_a(t_k)|^2 |chi_b(t_l [| t_k])|^2`` for two profiles, or
+        ``|dt * joint|^2`` for a joint table; the masses sum to 1.  The table
+        is (dt |chi_a(t_k)| |chi_b(t_l)|)^2 or (dt |joint|)^2 squared in place
+        in one real n x n array: no complex product and no second array.
+        """
+        if self.joint_amplitudes is not None:
+            masses = np.abs(self.joint_amplitudes)
+            masses *= self.grid.dt
+        else:
+            scale = self.grid.dt * np.abs(self.profile_a.amplitudes)
+            masses = np.abs(self.profile_b.amplitudes)
+            if masses.ndim == 1:
+                masses = np.multiply.outer(scale, masses)
+            else:
+                masses *= scale[:, None]
+        np.square(masses, out=masses)
+        masses.setflags(write=False)
+        return masses
 
 
 def joint_time_distribution(
@@ -360,16 +433,8 @@ def joint_time_distribution(
     ``kind="SL"`` takes two independent marginals; ``kind="TL"`` takes the
     first detector's marginal and the second's conditional rows.
     """
-    if profile_a.kind != MARGINAL:
-        raise ValueError("first profile must be marginal")
-    if profile_a.grid != profile_b.grid:
-        raise ValueError("profiles live on different grids")
-    if kind == "SL":
-        if profile_b.kind != MARGINAL:
-            raise ValueError("independent events need a marginal second profile")
-    elif kind == "TL":
-        if profile_b.kind != CONDITIONAL:
-            raise ValueError("ordered events need a conditional second profile")
-    else:
+    if kind not in ("SL", "TL"):
         raise ValueError(f"kind must be 'SL' or 'TL', got {kind!r}")
-    return JointTimeDistribution(grid=profile_a.grid, kind=kind, table=_cell_masses(profile_a, profile_b))
+    timing = EventTiming(profile_a, profile_b)
+    timing.require_kind(kind)
+    return JointTimeDistribution(grid=timing.grid, kind=kind, table=timing.cell_masses())

@@ -18,10 +18,15 @@ from hypothesis import strategies as st
 from eventstates import (
     ScenarioError,
     TimeGrid,
+    build_event_state,
     build_timed_state,
     build_tl_instant,
+    chsh_scenarios,
+    chsh_value,
     coherence_witness,
+    determinism_check,
     load_scenario,
+    predict_future_outcome,
     profile_to_json,
     save_state,
     state_from_json,
@@ -532,3 +537,97 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "ok" in result.stdout
+
+
+def test_chsh_measures_the_prepared_state(capsys, tmp_path):
+    # a 1 rad y-rotation on A prepares kron(U_A, I) @ singlet before the settings are measured
+    scenario = json.loads(resources.files("eventstates").joinpath("data/bell_sl.json").read_text())
+    scenario["evolutionA"] = {"axis": "y", "angle": 1.0}
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = _run(capsys, "chsh", str(path), "--json")
+    assert (code, err) == (0, "")
+    u_a = np.cos(0.5) * np.eye(2) - 1j * np.sin(0.5) * np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    angles = [np.radians(scenario["chsh"][key]) for key in ("anglesA", "anglesB")]
+    family = chsh_scenarios(np.kron(u_a, np.eye(2)) @ singlet, *angles)
+    expect = chsh_value([build_event_state(s) for s in family])
+    np.testing.assert_allclose(json.loads(out)["E"], expect.correlators, rtol=0, atol=1e-12)
+    code, out, err = _run(capsys, "chsh", str(path))
+    assert "S = 1.528206" in out.splitlines()
+
+
+def _joint_sl(**extra):
+    """SL scenario with a correlated joint detection-time table on 4 bins."""
+    rng = rng_for(52)
+    amps = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return dict(
+        {
+            "kind": "SL",
+            "initial": {"ket": {"re": [0.6, 0.0, 0.0, 0.8], "im": [0.0, 0.0, 0.0, 0.0]}},
+            "basisA": "Sz",
+            "basisB": "Sx",
+            "timing": {"grid": _GRID4, "joint": {"re": amps.real.tolist(), "im": amps.imag.tolist()}},
+        },
+        **extra,
+    )
+
+
+def test_joint_table_time_witness_needs_no_record_build(capsys, tmp_path):
+    joint_h = {"dim": 4, "re": np.diag([0.1, -0.2, 0.3, 0.0]).tolist(), "im": np.zeros((4, 4)).tolist()}
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps(_joint_sl(hamiltonian=joint_h)))
+    state = tmp_path / "joint.state.json"
+    assert _run(capsys, "build", str(path), "--timed", "--out", str(state))[0] == 0
+    code, via_state, err = _run(capsys, "witness", str(state), "--kind", "timecorr", "--json")
+    assert (code, err) == (0, "")
+    code, out, err = _run(capsys, "witness", str(path), "--kind", "timecorr", "--json")
+    assert (code, err) == (0, "")
+    [got], [want] = json.loads(out)["witnesses"], json.loads(via_state)["witnesses"]
+    assert got["witness"] == "time-correlation" and got["verdict"] == want["verdict"]
+    assert got["value"] == pytest.approx(want["value"], abs=1e-12)
+    # the record state of a joint table cannot be time averaged, and validate says so
+    for command in ("validate", "build"):
+        code, out, err = _run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: time averaging needs separable profiles, not a joint table\n"
+
+
+def test_raw_profile_off_the_timing_grid_exits_two(capsys, tmp_path):
+    rng = rng_for(53)
+    profile = profile_to_json(random_marginal_profile(rng, TimeGrid(t0=0.0, dt=0.5, n_bins=4)))
+    scenario = _timed_tl()  # its grid steps by 0.25
+    scenario["timing"]["profileA"] = profile
+    path = tmp_path / "off_grid.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = _run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: timing.profileA: profile grid does not match the timing grid\n"
+
+
+def test_discriminate_traces_out_the_timers_of_a_timed_state(capsys, tmp_path):
+    path = tmp_path / "timed.json"
+    path.write_text(json.dumps(_timed_tl()))
+    timed = tmp_path / "timed.state.json"
+    assert _run(capsys, "build", str(path), "--timed", "--out", str(timed))[0] == 0
+    code, out, err = _run(capsys, "discriminate", str(timed), "--json")
+    assert (code, err) == (0, "")
+    records = trace_out_timers(state_from_json(json.loads(timed.read_text())))
+    det = determinism_check(records)
+    assert json.loads(out) == {
+        "success": pytest.approx(predict_future_outcome(records).success, abs=1e-12),
+        "exact": True,
+        "deterministic": det.deterministic,
+        "max_overlap": pytest.approx(det.max_overlap, abs=1e-12),
+    }
+
+
+def test_ordered_evolution_with_timing_exits_two(capsys, tmp_path):
+    # timed ordered events evolve under the hamiltonian; a sharp evolution would be ignored
+    path = tmp_path / "evolution_and_timing.json"
+    path.write_text(json.dumps(dict(_timed_tl(), evolution={"axis": "x", "angle": 0.4})))
+    for argv in (["validate"], ["build"], ["build", "--timed"]):
+        code, out, err = _run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: timed ordered events evolve under the hamiltonian")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from eventstates import event_states as ev, timing as tm
 from eventstates import (
     EventScenario,
     EventState,
@@ -189,6 +190,42 @@ def test_scenario_validation_catches_structure_errors():
         EventScenario(kind="TL", initial=ket2, basis_a=sz, basis_b=sz, hamiltonian=np.array([[0, 1], [0, 0]]))
 
 
+# (field, arrangement it applies to, its dimension in a 2 x 3 SL or a qubit TL scenario, kind of operator)
+_OPERATOR_CASES = [
+    ("evolution", "TL", 2, "unitary"),
+    ("evolution_a", "SL", 2, "unitary"),
+    ("evolution_b", "SL", 3, "unitary"),
+    ("hamiltonian", "TL", 2, "hermitian"),
+    ("hamiltonian", "SL", 6, "hermitian"),
+    ("hamiltonian_a", "SL", 2, "hermitian"),
+    ("hamiltonian_b", "SL", 3, "hermitian"),
+]
+
+
+@pytest.mark.parametrize("field, kind, dim, op", _OPERATOR_CASES)
+def test_operator_fields_follow_one_rule(field, kind, dim, op):
+    rng = rng_for(7)
+    bases = {"SL": (random_basis(rng, 2), random_basis(rng, 3)), "TL": (random_basis(rng, 2),) * 2}
+    initial = {"SL": random_ket(rng, 6), "TL": random_ket(rng, 2)}
+
+    def scenario(kind, value):
+        basis_a, basis_b = bases[kind]
+        return EventScenario(kind=kind, initial=initial[kind], basis_a=basis_a, basis_b=basis_b, **{field: value})
+
+    good = random_unitary(rng, dim) if op == "unitary" else random_hermitian(rng, dim)
+    stored = getattr(scenario(kind, good), field)
+    np.testing.assert_array_equal(stored, good)
+    assert not stored.flags.writeable
+    with pytest.raises(ScenarioError, match=f"{field} dimension does not match"):
+        scenario(kind, np.eye(dim + 1))
+    bad = np.eye(dim) + np.triu(np.ones((dim, dim)), k=1)  # neither unitary nor Hermitian
+    with pytest.raises(NumericsError, match=f"{field} is not {'unitary' if op == 'unitary' else 'Hermitian'}"):
+        scenario(kind, bad)
+    if field != "hamiltonian":  # the one operator both arrangements take
+        with pytest.raises(ScenarioError, match=f"{field} only applies to"):
+            scenario("TL" if kind == "SL" else "SL", good)
+
+
 def test_timing_validation():
     grid = TimeGrid(t0=0.0, dt=0.1, n_bins=4)
     rng = rng_for(6)
@@ -223,6 +260,25 @@ def test_timing_validation():
             kind="TL", initial=psi2, basis_a=sz, basis_b=sz,
             timing=EventTiming(joint_amplitudes=np.ones((4, 4)), joint_grid=grid),
         )
+
+
+def test_timing_kind_is_the_arrangement_of_its_second_profile():
+    grid = TimeGrid(t0=0.0, dt=0.1, n_bins=4)
+    rng = rng_for(8)
+    marg = random_marginal_profile(rng, grid)
+    assert EventTiming(profile_a=marg, profile_b=random_marginal_profile(rng, grid)).kind == "SL"
+    assert EventTiming(profile_a=marg, profile_b=random_conditional_profile(rng, grid)).kind == "TL"
+    assert EventTiming(joint_amplitudes=np.ones((4, 4)), joint_grid=grid).kind == "SL"
+    assert ev.EventTiming is tm.EventTiming
+
+
+def test_timed_ordered_scenario_refuses_a_sharp_evolution():
+    rng = rng_for(9)
+    timed = random_timed_tl_scenario(rng)
+    with pytest.raises(ScenarioError, match="evolve under the hamiltonian"):
+        dataclasses.replace(timed, evolution=random_unitary(rng, 2))
+    # without timing the same evolution is the sharp inter-event step
+    assert dataclasses.replace(timed, evolution=random_unitary(rng, 2), timing=None).evolution is not None
 
 
 def test_joint_amplitudes_renormalize():

@@ -175,6 +175,13 @@ def test_measurement_model_validation():
     assert model.labels[0] == 1.0
 
 
+def test_measurement_model_refuses_non_finite_kets():
+    with pytest.raises(ValueError, match="non-finite"):
+        MeasurementModel.from_axis_angle(np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        MeasurementModel.from_kets([[1.0, 0.0], [0.0, np.nan]], [1.0, -1.0])
+
+
 def test_axis_angle_basis_matches_bloch_pair():
     model = MeasurementModel.from_axis_angle(0.7, 1.3)
     np.testing.assert_allclose(model.kets, bloch_pair(0.7, 1.3), atol=1e-15)

@@ -109,6 +109,14 @@ def test_exponential_grid_covers_tail():
     assert exponential_tail_mass(2.0, shorter) > 1e-6
 
 
+@pytest.mark.parametrize("gamma", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("maker", [exponential_profile, exponential_conditional])
+def test_exponential_makers_refuse_bad_decay_rates(maker, gamma):
+    grid = TimeGrid(t0=0.0, dt=0.1, n_bins=4)
+    with pytest.raises(ValueError, match="decay rate must be positive and finite"):
+        maker(gamma, grid)
+
+
 def test_exponential_profile_is_normalized_and_decaying():
     grid = exponential_grid(1.0, 0.01)
     prof = exponential_profile(1.0, grid)
