@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 from importlib import resources
@@ -30,7 +31,7 @@ from .event_states import (
     timer_distribution,
 )
 from .inference import classical_correlation, determinism_check, predict_future_outcome
-from .policy import NumericsError, ScenarioError
+from .policy import MAX_BRANCHING_BINS, MAX_GRID_BINS, NumericsError, ScenarioError
 from .scenario import ScenarioFile, scenario_from_json, load_scenario
 from .serialize import (
     canonical_dumps,
@@ -223,21 +224,38 @@ def _demo_scenario(name: str) -> ScenarioFile:
 
 def _demo_decay(args) -> tuple[dict, list[str]]:
     gamma, dt = args.gamma, args.dt
+    for flag, value in (("--gamma", gamma), ("--dt", dt)):
+        if not 0.0 < value < math.inf:
+            raise ScenarioError(f"{flag} must be a positive finite number, got {value:g}")
     if gamma * dt >= 1.0:
         raise ScenarioError(f"gamma * dt = {gamma * dt:.3g} >= 1; no per-bin probability exists")
-    grid = exponential_grid(gamma, dt)
+    # Both grids are sized and bounded before any array is made.
+    try:
+        grid = exponential_grid(gamma, dt)
+        table_grid = exponential_grid(gamma, max(dt, 0.02))
+    except ValueError as exc:
+        raise ScenarioError(f"demo decay: {exc}") from None
+    if grid.n_bins > MAX_BRANCHING_BINS:
+        raise ScenarioError(
+            f"demo decay: the branching grid needs {grid.n_bins} bins; the bound is {MAX_BRANCHING_BINS}"
+        )
+    if table_grid.n_bins > MAX_GRID_BINS:
+        raise ScenarioError(
+            f"demo decay: the covariance table needs {table_grid.n_bins} bins; the bound is {MAX_GRID_BINS}"
+        )
     schedule = BranchingSchedule.constant(grid, gamma * dt)
     profile = exponential_profile(gamma, grid)
     err = continuum_limit_check(schedule, profile)
 
-    table_grid = exponential_grid(gamma, max(dt, 0.02))
     table = joint_time_distribution(
         exponential_profile(gamma, table_grid),
         exponential_conditional(gamma, table_grid),
         "TL",
     )
     witness = time_witness(table)
-    continuum = 1.0 / gamma**2
+    continuum = 1.0 / gamma / gamma
+    if not (math.isfinite(witness.value) and math.isfinite(continuum)):
+        raise NumericsError(f"demo decay: the time covariance overflows at gamma = {gamma:g}")
     payload = {
         "gamma": gamma,
         "dt": dt,

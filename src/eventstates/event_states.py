@@ -20,6 +20,7 @@ record; independent-pair states are diagonal in the joint record basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -157,6 +158,19 @@ class EventScenario:
             if not isinstance(self.timing, EventTiming):
                 raise ScenarioError("timing must be an EventTiming")
             self.timing.require_kind(self.kind)
+            # Row sums bound each generator's spectrum, so this keeps every
+            # in-flight phase H * tau over the grid, and every eigenvalue of
+            # the joint generator of a timed build, finite.
+            generators = [
+                f for f in ("hamiltonian", "hamiltonian_a", "hamiltonian_b") if getattr(self, f) is not None
+            ]
+            rate = sum(float(np.abs(getattr(self, f)).sum(axis=1).max()) for f in generators)
+            grid = self.timing.grid
+            if not math.isfinite(rate * grid.dt * (grid.n_bins - 1)):
+                raise ScenarioError(
+                    f"{' + '.join(generators)}: entries too large for the timing grid; "
+                    "the in-flight phases overflow"
+                )
             if self.evolution is not None:
                 raise ScenarioError(
                     "timed ordered events evolve under the hamiltonian; give evolution or timing, not both"

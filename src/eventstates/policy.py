@@ -53,3 +53,7 @@ CHEBYSHEV_SLACK = 1e-9
 # Most bins (grid size or delta lag) a scenario file may ask for; a
 # conditional profile holds n_bins^2 complex amplitudes.
 MAX_GRID_BINS = 4096
+# Most bins of the O(n) branching grid of ``eventstates demo decay``; the
+# default demo uses 13,816, and a run at the bound takes about 1 s and
+# 165 MB peak RSS.
+MAX_BRANCHING_BINS = 1_000_000

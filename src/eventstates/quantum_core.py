@@ -244,7 +244,9 @@ def validate_density(op) -> DensityCheck:
     adjoint = mat.conj().T
     herm_defect = float(np.max(np.abs(mat - adjoint)))
     trace_defect = float(abs(np.trace(mat) - 1.0))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (mat + adjoint)).min())
+    # Halve before adding: entries near the float maximum would overflow the
+    # sum, and eigvalsh does not converge on infinite entries.
+    min_eig = float(np.linalg.eigvalsh(0.5 * mat + 0.5 * adjoint).min())
     return DensityCheck(
         dim=mat.shape[0],
         hermiticity_defect=herm_defect,

@@ -11,6 +11,7 @@ conventionally quoted in degrees.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ from importlib import resources
 
 import jsonschema
 import numpy as np
+import referencing
+import referencing.jsonschema
 
 from .event_states import EventScenario
 from .policy import MAX_GRID_BINS, ScenarioError
@@ -41,16 +44,26 @@ from .timing import (
 
 __all__ = ["ScenarioFile", "scenario_from_json", "load_scenario", "schema"]
 
-_SCHEMA_CACHE: dict | None = None
+_SCHEMA_URI = "urn:eventstates:scenario"
+# What each scenario is validated against: a draft-07 reference to the
+# packaged schema, so the packaged schema itself is meta-checked only once,
+# in _registry().
+_ENTRY_SCHEMA = {"$schema": "http://json-schema.org/draft-07/schema#", "$ref": _SCHEMA_URI}
 
 
 def schema() -> dict:
     """The JSON schema scenario files are validated against."""
-    global _SCHEMA_CACHE
-    if _SCHEMA_CACHE is None:
-        text = resources.files("eventstates").joinpath("data/scenario.schema.json").read_text()
-        _SCHEMA_CACHE = json.loads(text)
-    return _SCHEMA_CACHE
+    return _registry().contents(_SCHEMA_URI)
+
+
+@functools.cache
+def _registry() -> referencing.Registry:
+    """The packaged schema, meta-checked against draft 07 on first use."""
+    text = resources.files("eventstates").joinpath("data/scenario.schema.json").read_text()
+    packaged = json.loads(text)
+    jsonschema.Draft7Validator.check_schema(packaged)
+    resource = referencing.jsonschema.DRAFT7.create_resource(packaged)
+    return referencing.Registry().with_resource(_SCHEMA_URI, resource)
 
 
 @dataclass(frozen=True)
@@ -157,9 +170,13 @@ def _parse_timing(data: dict) -> EventTiming:
 
 
 def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
-    """Validate and build a scenario from already-parsed JSON."""
+    """Validate and build a scenario from already-parsed JSON.
+
+    ``data`` is checked against the packaged draft-07 schema first; the
+    schema itself is meta-checked once per process, not once per call.
+    """
     try:
-        jsonschema.validate(data, schema())
+        jsonschema.validate(data, _ENTRY_SCHEMA, registry=_registry())
     except jsonschema.ValidationError as exc:
         raise ScenarioError(f"{source}: {exc.json_path}: {exc.message}") from None
 

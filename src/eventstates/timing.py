@@ -175,8 +175,11 @@ def exponential_grid(gamma: float, dt: float, *, tail_mass: float = 1e-6, t0: fl
         raise ValueError(f"decay rate must be positive, got {gamma}")
     if not (0.0 < tail_mass < 1.0):
         raise ValueError("tail_mass must lie in (0, 1)")
-    n = max(2, int(math.ceil(math.log(1.0 / tail_mass) / (gamma * dt))))
-    return TimeGrid(t0=t0, dt=dt, n_bins=n)
+    rate = gamma * dt
+    steps = math.log(1.0 / tail_mass) / rate if rate != 0.0 else math.inf
+    if not math.isfinite(steps):
+        raise ValueError(f"gamma * dt = {rate:.3g} needs more bins than a float can count")
+    return TimeGrid(t0=t0, dt=dt, n_bins=max(2, math.ceil(steps)))
 
 
 def exponential_tail_mass(gamma: float, grid: TimeGrid) -> float:

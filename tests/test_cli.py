@@ -193,6 +193,13 @@ def _timed_tl(grid=None, profile_b=None):
             "timing.profileB",
         ),
         (_timed_tl(grid={"dt": 1e308}), "timing.grid"),
+        (
+            dict(
+                _timed_tl(grid={"dt": 0.5, "n_bins": 8}),
+                hamiltonian={"dim": 2, "re": [[1e308, 0.0], [0.0, 0.0]], "im": _ZERO_H["im"]},
+            ),
+            "hamiltonian",
+        ),
     ],
     ids=[
         "duplicate-labels",
@@ -210,6 +217,7 @@ def _timed_tl(grid=None, profile_b=None):
         "oversized-conditional-grid",
         "huge-lag",
         "huge-grid-dt",
+        "huge-hamiltonian-entry",
     ],
 )
 def test_malformed_fields_exit_two_with_one_line(capsys, tmp_path, scenario, field):
@@ -223,6 +231,22 @@ def test_malformed_fields_exit_two_with_one_line(capsys, tmp_path, scenario, fie
     # the commands that build or analyse the scenario stop at the same line
     for command in ("build", "chsh") if scenario["kind"] == "SL" else ("build",):
         assert _run(capsys, command, str(path)) == (2, "", err)
+
+
+@pytest.mark.parametrize("entry", [1e308, -1e308], ids=["huge", "huge-negative"])
+def test_huge_density_entries_exit_three_with_one_line(capsys, tmp_path, entry):
+    zeros = [[0.0] * 3 for _ in range(3)]
+    identity = {"dim": 3, "re": np.eye(3).tolist(), "im": zeros, "labels": [0.0, 1.0, 2.0]}
+    density = {"dim": 3, "re": [[0.5, 0.0, 0.0], [0.0, entry, 0.0], [0.0, 0.0, 0.5]], "im": zeros}
+    scenario = {"kind": "TL", "initial": {"density": density}, "basisA": identity, "basisB": identity}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = _run(capsys, "validate", str(path))
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: initial state is not a valid density matrix:")
+    for command in ("build", "witness"):
+        assert _run(capsys, command, str(path)) == (3, "", err)
 
 
 # Scenario mutants: one leaf of a bundled demo (or of a small timed TL
@@ -510,6 +534,48 @@ def test_demo_decay_rejects_coarse_grids(capsys):
     code, out, err = _run(capsys, "demo", "decay", "--gamma", "2.0", "--dt", "0.6")
     assert code == 2
     assert "gamma * dt" in err
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (["--gamma", "nan"], 2),
+        (["--gamma", "-1"], 2),
+        (["--dt", "0"], 2),
+        (["--dt", "nan"], 2),
+        (["--dt", "-0.5"], 2),
+        # 13,815,510,558 bins: refused before any array is made
+        (["--gamma", "1e-6"], 2),
+        # a 6,908-bin covariance table, beyond MAX_GRID_BINS
+        (["--gamma", "0.1"], 2),
+        # gamma * dt underflows to zero
+        (["--gamma", "1e-200", "--dt", "1e-200"], 2),
+        # a valid grid whose time moments overflow
+        (["--gamma", "1e-305", "--dt", "1e304"], 3),
+    ],
+    ids=[
+        "nan-gamma",
+        "negative-gamma",
+        "zero-dt",
+        "nan-dt",
+        "negative-dt",
+        "tiny-gamma",
+        "big-table",
+        "zero-rate",
+        "overflow",
+    ],
+)
+def test_demo_decay_refuses_bad_rates_and_steps_in_one_line(flags, code):
+    result = subprocess.run(
+        [sys.executable, "-m", "eventstates", "demo", "decay", *flags],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == code
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines() if not line.startswith("warning: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: ")
 
 
 def test_warnings_print_as_one_line_each_before_the_error(tmp_path):

@@ -1,0 +1,92 @@
+"""The schema pass in front of the scenario parser."""
+
+import copy
+import json
+from importlib import resources
+
+import jsonschema
+import pytest
+
+from eventstates import ScenarioError, scenario
+from eventstates.scenario import scenario_from_json, schema
+
+
+def _bundled(name: str) -> dict:
+    return json.loads(resources.files("eventstates").joinpath(f"data/{name}").read_text())
+
+
+_TIMED_TL = {
+    "kind": "TL",
+    "initial": {"ket": {"re": [0.6, 0.8], "im": [0.0, 0.0]}},
+    "basisA": "Sz",
+    "basisB": "Sx",
+    "hamiltonian": {"dim": 2, "re": [[0.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    "timing": {
+        "grid": {"dt": 0.25, "n_bins": 4},
+        "profileA": {"type": "delta", "bin": 0},
+        "profileB": {"type": "delta", "conditional": True, "lag_bins": 1},
+    },
+}
+
+
+def test_packaged_schema_is_valid_draft7():
+    jsonschema.Draft7Validator.check_schema(schema())
+
+
+def test_packaged_schema_is_meta_checked_once_per_process(monkeypatch):
+    # a benchmark tracer wraps jsonschema.validate, so every scenario still goes through it once
+    scenario._registry.cache_clear()
+    validated, checked = [], []
+    validate = jsonschema.validate
+    check_schema = jsonschema.Draft7Validator.check_schema
+
+    def counting_validate(*args, **kwargs):
+        validated.append(args[0])
+        return validate(*args, **kwargs)
+
+    def recording_check_schema(cls, schema_doc, *args, **kwargs):
+        checked.append(schema_doc)
+        return check_schema(schema_doc, *args, **kwargs)
+
+    monkeypatch.setattr(jsonschema, "validate", counting_validate)
+    monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", classmethod(recording_check_schema))
+    data = _bundled("bell_sl.json")
+    for _ in range(20):
+        scenario_from_json(data)
+    assert len(validated) == 20
+    assert [doc is schema() for doc in checked].count(True) == 1
+
+
+def _set(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _without(doc, key):
+    doc = copy.deepcopy(doc)
+    del doc[key]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _set(_bundled("bell_sl.json"), ("kind",), "sideways"),
+        _without(_bundled("bell_sl.json"), "basisB"),
+        dict(_bundled("bell_sl.json"), extra=1),
+        _set(_bundled("bell_sl.json"), ("initial", "ket", "re", 1), "x"),
+        _set(_TIMED_TL, ("timing", "grid", "n_bins"), 1),
+        _set(_TIMED_TL, ("initial", "density"), _TIMED_TL["hamiltonian"]),
+    ],
+    ids=["wrong-kind", "missing-basisB", "extra-key", "string-in-re", "one-bin-grid", "ket-and-density"],
+)
+def test_schema_faults_read_as_the_plain_schema_pass_reads_them(data):
+    with pytest.raises(jsonschema.ValidationError) as oracle:
+        jsonschema.validate(data, schema())
+    with pytest.raises(ScenarioError) as raised:
+        scenario_from_json(data, source="case.json")
+    assert str(raised.value) == f"case.json: {oracle.value.json_path}: {oracle.value.message}"
