@@ -229,10 +229,11 @@ def _demo_decay(args) -> tuple[dict, list[str]]:
             raise ScenarioError(f"{flag} must be a positive finite number, got {value:g}")
     if gamma * dt >= 1.0:
         raise ScenarioError(f"gamma * dt = {gamma * dt:.3g} >= 1; no per-bin probability exists")
-    # Both grids are sized and bounded before any array is made.
+    # Both grids are sized and bounded before any array is made.  The
+    # covariance table steps at most 0.02 mean lifetimes (gamma * step <= 0.02).
     try:
         grid = exponential_grid(gamma, dt)
-        table_grid = exponential_grid(gamma, max(dt, 0.02))
+        table_grid = exponential_grid(gamma, min(max(dt, 0.02), 0.02 / gamma))
     except ValueError as exc:
         raise ScenarioError(f"demo decay: {exc}") from None
     if grid.n_bins > MAX_BRANCHING_BINS:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
@@ -129,17 +128,14 @@ def predict_future_outcome(state: EventState) -> PredictionReport:
     decomp = conditional_decomposition(state)
     probs, sigmas = decomp.probs, decomp.conditionals
     live = np.flatnonzero(probs > 0.0)
-
-    def pair(i, j):
-        # Other outcomes carry zero mass, so the two live priors sum to 1
-        # up to the mass dropped with empty blocks.
-        scale = probs[i] + probs[j]
-        return helstrom_success(probs[i] / scale, sigmas[i], probs[j] / scale, sigmas[j])
-
     if live.size <= 1:
         return PredictionReport(success=1.0, exact=True, projector=None, pairwise=None)
     if live.size == 2:
-        result = pair(*live)
+        # Other outcomes carry zero mass, so the two live priors sum to 1
+        # up to the mass dropped with empty blocks.
+        i, j = live
+        scale = probs[i] + probs[j]
+        result = helstrom_success(probs[i] / scale, sigmas[i], probs[j] / scale, sigmas[j])
         return PredictionReport(
             success=result.success, exact=True, projector=result.projector, pairwise=None
         )
@@ -147,9 +143,14 @@ def predict_future_outcome(state: EventState) -> PredictionReport:
     weighted = probs[:, None, None] * _conditional_stack(decomp, state.dims[0])
     root = _sqrt_pinv(weighted.sum(axis=0))
     success = float(np.real(np.einsum("ij,bjk,kl,bli->", root, weighted, root, weighted)))
+    # helstrom_success for every live pair from one batched eigvalsh over
+    # the stacked gaps (p_i sigma_i - p_j sigma_j) / (p_i + p_j)
+    upper = np.triu_indices(live.size, k=1)
+    i, j = live[upper[0]], live[upper[1]]
+    gaps = (weighted[i] - weighted[j]) / (probs[i] + probs[j])[:, None, None]
+    vals = np.linalg.eigvalsh(0.5 * (gaps + np.conj(np.swapaxes(gaps, -1, -2))))
     pairwise = np.full((probs.size, probs.size), np.nan)
-    for i, j in combinations(live, 2):
-        pairwise[i, j] = pairwise[j, i] = pair(i, j).success
+    pairwise[i, j] = pairwise[j, i] = np.minimum(0.5 * (1.0 + np.sum(np.abs(vals), axis=-1)), 1.0)
     np.fill_diagonal(pairwise, 1.0)
     return PredictionReport(
         success=min(success, 1.0), exact=False, projector=None, pairwise=pairwise

@@ -53,17 +53,49 @@ _ENTRY_SCHEMA = {"$schema": "http://json-schema.org/draft-07/schema#", "$ref": _
 
 def schema() -> dict:
     """The JSON schema scenario files are validated against."""
-    return _registry().contents(_SCHEMA_URI)
+    _registry()
+    return _packaged()
+
+
+@functools.cache
+def _packaged() -> dict:
+    text = resources.files("eventstates").joinpath("data/scenario.schema.json").read_text()
+    return json.loads(text)
 
 
 @functools.cache
 def _registry() -> referencing.Registry:
-    """The packaged schema, meta-checked against draft 07 on first use."""
-    text = resources.files("eventstates").joinpath("data/scenario.schema.json").read_text()
-    packaged = json.loads(text)
+    """The packaged schema, meta-checked against draft 07 on first use.
+
+    It is registered without its "$schema" key: jsonschema picks the
+    validator class of a subschema that names its draft, which would leave
+    _validator_class() at the "$ref".
+    """
+    packaged = _packaged()
     jsonschema.Draft7Validator.check_schema(packaged)
-    resource = referencing.jsonschema.DRAFT7.create_resource(packaged)
+    body = {key: value for key, value in packaged.items() if key != "$schema"}
+    resource = referencing.jsonschema.DRAFT7.create_resource(body)
     return referencing.Registry().with_resource(_SCHEMA_URI, resource)
+
+
+@functools.cache
+def _validator_class() -> type:
+    """Draft 07 with one scan for each array of plain numbers.
+
+    An array whose items must be numbers and whose elements are all exactly
+    ``float`` or ``int`` passes in one pass over their types; any other array
+    (``bool`` and numpy scalars included) goes through draft 07's own
+    ``items``, so every error reads as it does there.
+    """
+    items = jsonschema.Draft7Validator.VALIDATORS["items"]
+
+    def number_items(validator, item_schema, instance, schema):
+        if item_schema == {"type": "number"} and type(instance) is list:
+            if set(map(type, instance)) <= {float, int}:
+                return
+        yield from items(validator, item_schema, instance, schema)
+
+    return jsonschema.validators.extend(jsonschema.Draft7Validator, {"items": number_items})
 
 
 @dataclass(frozen=True)
@@ -173,10 +205,11 @@ def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
     """Validate and build a scenario from already-parsed JSON.
 
     ``data`` is checked against the packaged draft-07 schema first; the
-    schema itself is meta-checked once per process, not once per call.
+    schema itself is meta-checked once per process, not once per call, and
+    each array of plain numbers is checked in one scan.
     """
     try:
-        jsonschema.validate(data, _ENTRY_SCHEMA, registry=_registry())
+        jsonschema.validate(data, _ENTRY_SCHEMA, cls=_validator_class(), registry=_registry())
     except jsonschema.ValidationError as exc:
         raise ScenarioError(f"{source}: {exc.json_path}: {exc.message}") from None
 

@@ -8,6 +8,7 @@ runs byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from json.encoder import encode_basestring_ascii as _json_string
@@ -174,13 +175,36 @@ def _float_text(x: float) -> str:
     return repr(float(f"{x:.12g}"))
 
 
+@functools.cache
+def _row_format(n: int) -> str:
+    return ",".join(["%.12g"] * n)
+
+
 def _float_array_text(values: list) -> str:
-    """JSON array of plain floats, each rounded to 12 significant digits."""
-    text = ",".join(map(repr, map(float, map("{:.12g}".format, values))))
-    # A finite float's repr never holds an "n"; "nan" and "inf" do.
-    if "n" in text:
-        for x in values:
-            _float_text(x)
+    """JSON array of plain floats, each rounded to 12 significant digits.
+
+    The row is formatted by one "%.12g" string.  For a finite normal double a
+    decimal of at most 12 significant digits is the unique shortest repr of
+    the double it parses to, so the text equals ``repr(float(f"{x:.12g}"))``
+    once bare integers get their ".0".  Rows holding "n" (nan, inf), "e+1"
+    (1e12 up to 1e16, where "%g" writes an exponent and repr does not) or
+    "e-3" (subnormals, whose repr can be shorter) take the per-number path.
+    """
+    text = _row_format(len(values)) % tuple(values)
+    if "n" in text or "e+1" in text or "e-3" in text:
+        text = ",".join(map(repr, map(float, map("{:.12g}".format, values))))
+        # A finite float's repr never holds an "n"; "nan" and "inf" do.
+        if "n" in text:
+            for x in values:
+                _float_text(x)
+    elif text.count(".") < len(values):
+        # No token holds two dots, so some token lacks one: a bare integer,
+        # which repr writes with ".0", or a form such as "1e-05", which it
+        # does not.  Zeros, the common case, go by replace (twice, as
+        # adjacent matches share a comma), the rest token by token.
+        text = f",{text},".replace(",0,", ",0.0,").replace(",0,", ",0.0,")[1:-1]
+        if text.count(".") < len(values):
+            text = ",".join([t if "." in t or "e" in t else t + ".0" for t in text.split(",")])
     return f"[{text}]"
 
 

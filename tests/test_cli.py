@@ -530,6 +530,15 @@ def test_demo_decay_tracks_the_continuum(capsys):
     assert payload["verdict"] == "causal-signature"
 
 
+@pytest.mark.parametrize("gamma", ["10", "100"])
+def test_demo_decay_table_step_follows_the_lifetime(capsys, gamma):
+    # the covariance table steps 0.02 / gamma, so cov * gamma^2 does not depend on gamma
+    code, out, err = _run(capsys, "demo", "decay", "--gamma", gamma, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["time_covariance"] * float(gamma) ** 2 == pytest.approx(0.99942, abs=1e-5)
+
+
 def test_demo_decay_rejects_coarse_grids(capsys):
     code, out, err = _run(capsys, "demo", "decay", "--gamma", "2.0", "--dt", "0.6")
     assert code == 2

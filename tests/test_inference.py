@@ -413,6 +413,28 @@ def _empty_outcome_state():
     return build_tl_instant(scenario)
 
 
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8, "empty"])
+def test_pairwise_table_matches_per_pair_helstrom(dim):
+    if dim == "empty":
+        state = _empty_outcome_state()
+    else:
+        state = build_tl_instant(random_tl_scenario(rng_for(600 + dim), dim=dim, mixed=True))
+    report = predict_future_outcome(state)
+    decomp = conditional_decomposition(state)
+    probs, sigmas = decomp.probs, decomp.conditionals
+    for i in range(probs.size):
+        for j in range(probs.size):
+            if i == j:
+                assert report.pairwise[i, j] == 1.0
+            elif sigmas[i] is None or sigmas[j] is None:
+                assert np.isnan(report.pairwise[i, j])
+            else:
+                scale = probs[i] + probs[j]
+                expect = helstrom_success(probs[i] / scale, sigmas[i], probs[j] / scale, sigmas[j])
+                assert report.pairwise[i, j] == pytest.approx(expect.success, abs=1e-12)
+    assert (dim == "empty") == any(s is None for s in sigmas)
+
+
 def test_empty_outcome_among_several_is_left_out():
     state = _empty_outcome_state()
     four = state.rho.reshape(4, 4, 4, 4)

@@ -5,6 +5,7 @@ import json
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from eventstates import ScenarioError, scenario
@@ -81,8 +82,21 @@ def _without(doc, key):
         _set(_bundled("bell_sl.json"), ("initial", "ket", "re", 1), "x"),
         _set(_TIMED_TL, ("timing", "grid", "n_bins"), 1),
         _set(_TIMED_TL, ("initial", "density"), _TIMED_TL["hamiltonian"]),
+        _set(_bundled("bell_sl.json"), ("initial", "ket", "re", 1), True),
+        _set(_bundled("bell_sl.json"), ("initial", "ket", "re"), []),
+        _set(_TIMED_TL, ("hamiltonian", "re", 0), None),
     ],
-    ids=["wrong-kind", "missing-basisB", "extra-key", "string-in-re", "one-bin-grid", "ket-and-density"],
+    ids=[
+        "wrong-kind",
+        "missing-basisB",
+        "extra-key",
+        "string-in-re",
+        "one-bin-grid",
+        "ket-and-density",
+        "true-in-re",
+        "empty-re",
+        "none-row",
+    ],
 )
 def test_schema_faults_read_as_the_plain_schema_pass_reads_them(data):
     with pytest.raises(jsonschema.ValidationError) as oracle:
@@ -90,3 +104,14 @@ def test_schema_faults_read_as_the_plain_schema_pass_reads_them(data):
     with pytest.raises(ScenarioError) as raised:
         scenario_from_json(data, source="case.json")
     assert str(raised.value) == f"case.json: {oracle.value.json_path}: {oracle.value.message}"
+
+
+def test_numpy_floats_in_a_library_made_dict_are_accepted():
+    # np.float64 is not exactly float, so these rows take draft 07's own items check
+    data = _set(_TIMED_TL, ("hamiltonian", "re"), [list(row) for row in np.array([[0.0, 0.5], [0.5, 0.0]])])
+    assert all(type(x) is np.float64 for row in data["hamiltonian"]["re"] for x in row)
+    jsonschema.validate(data, schema())
+    plain = _set(_TIMED_TL, ("hamiltonian", "re"), [[0.0, 0.5], [0.5, 0.0]])
+    np.testing.assert_array_equal(
+        scenario_from_json(data).scenario.hamiltonian, scenario_from_json(plain).scenario.hamiltonian
+    )

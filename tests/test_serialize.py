@@ -30,6 +30,7 @@ from eventstates import (
     state_from_json,
     state_to_json,
 )
+from eventstates.serialize import _float_array_text
 
 from helpers import (
     random_basis,
@@ -267,6 +268,44 @@ def test_canonical_dumps_matches_the_oracle_on_state_payloads():
 def test_canonical_dumps_refuses_what_the_oracle_refuses():
     for obj in ({"x": 1 + 2j}, [np.bool_(True)], {"k": object()}, [1.0, float("nan"), float("inf")]):
         assert _outcome(canonical_dumps, obj) == _outcome(_oracle_dumps, obj)
+
+
+def _per_number_array_text(values):
+    """The per-number formula _float_array_text must match byte for byte."""
+    return "[" + ",".join(repr(float(f"{x:.12g}")) for x in values) + "]"
+
+
+def _signed(magnitudes):
+    return st.tuples(st.booleans(), magnitudes).map(lambda pair: -pair[1] if pair[0] else pair[1])
+
+
+_row_floats = st.one_of(
+    _finite,
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-4, 1e12, 1e16, 1e308]),
+    st.integers(-(10**15), 10**15).map(float),
+    _signed(st.floats(min_value=5e-324, max_value=2.2250738585072014e-308)),
+    _signed(st.floats(min_value=1e-5, max_value=1e-3)),
+    _signed(st.floats(min_value=1e11, max_value=1e17)),
+    _signed(st.floats(min_value=1e307, max_value=1.7976931348623157e308)),
+)
+
+
+@given(st.lists(_row_floats, min_size=1, max_size=40))
+@settings(deadline=None, max_examples=500)
+def test_float_array_text_matches_the_per_number_formula(values):
+    assert _float_array_text(values) == _per_number_array_text(values)
+
+
+@given(
+    st.lists(_row_floats, max_size=20),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.integers(0, 20),
+)
+@settings(deadline=None, max_examples=100)
+def test_float_array_text_refuses_non_finite(values, bad, where):
+    values.insert(where, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        _float_array_text(values)
 
 
 def test_chsh_report_serializes_flat():
