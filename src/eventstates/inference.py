@@ -83,11 +83,24 @@ def helstrom_success(
     if p1 < 0.0 or p2 < 0.0 or abs(p1 + p2 - 1.0) > PRIOR_SUM_TOL:
         raise ValueError(f"priors must be nonnegative and sum to 1, got {p1} and {p2}")
     gap = p1 * np.asarray(rho1, dtype=complex) - p2 * np.asarray(rho2, dtype=complex)
-    gap = 0.5 * (gap + gap.conj().T)
-    vals, vecs = np.linalg.eigh(gap)
-    success = 0.5 * (1.0 + float(np.sum(np.abs(vals))))
+    success, vals, vecs = _helstrom_spectrum(gap, vectors=True)
     pos = vecs[:, vals > 0.0]
-    return HelstromResult(success=min(success, 1.0), projector=pos @ pos.conj().T)
+    return HelstromResult(success=float(success), projector=pos @ pos.conj().T)
+
+
+def _helstrom_spectrum(gaps: np.ndarray, *, vectors: bool = False):
+    """Success (1 + tracenorm(gap)) / 2, capped at 1, of each weighted gap.
+
+    ``gaps`` is one matrix p1 rho1 - p2 rho2 or a stack of them.  Returns the
+    success values with the eigenvalues of each gap's Hermitian part and,
+    when ``vectors`` is set, their eigenvectors (else None).
+    """
+    hermitian = 0.5 * (gaps + np.conj(np.swapaxes(gaps, -1, -2)))
+    if vectors:
+        vals, vecs = np.linalg.eigh(hermitian)
+    else:
+        vals, vecs = np.linalg.eigvalsh(hermitian), None
+    return np.minimum(0.5 * (1.0 + np.sum(np.abs(vals), axis=-1)), 1.0), vals, vecs
 
 
 def helstrom_pure(p1: float, ket1: np.ndarray, p2: float, ket2: np.ndarray) -> float:
@@ -143,14 +156,14 @@ def predict_future_outcome(state: EventState) -> PredictionReport:
     weighted = probs[:, None, None] * _conditional_stack(decomp, state.dims[0])
     root = _sqrt_pinv(weighted.sum(axis=0))
     success = float(np.real(np.einsum("ij,bjk,kl,bli->", root, weighted, root, weighted)))
-    # helstrom_success for every live pair from one batched eigvalsh over
-    # the stacked gaps (p_i sigma_i - p_j sigma_j) / (p_i + p_j)
-    upper = np.triu_indices(live.size, k=1)
-    i, j = live[upper[0]], live[upper[1]]
-    gaps = (weighted[i] - weighted[j]) / (probs[i] + probs[j])[:, None, None]
-    vals = np.linalg.eigvalsh(0.5 * (gaps + np.conj(np.swapaxes(gaps, -1, -2))))
+    # helstrom_success for the pairs (i, j > i) of each live row from one
+    # batched eigvalsh over the gaps (p_i sigma_i - p_j sigma_j) / (p_i + p_j);
+    # a row at a time keeps the stack no larger than ``weighted``.
     pairwise = np.full((probs.size, probs.size), np.nan)
-    pairwise[i, j] = pairwise[j, i] = np.minimum(0.5 * (1.0 + np.sum(np.abs(vals), axis=-1)), 1.0)
+    for k, i in enumerate(live[:-1], start=1):
+        j = live[k:]
+        gaps = (weighted[i] - weighted[j]) / (probs[i] + probs[j])[:, None, None]
+        pairwise[i, j] = pairwise[j, i] = _helstrom_spectrum(gaps)[0]
     np.fill_diagonal(pairwise, 1.0)
     return PredictionReport(
         success=min(success, 1.0), exact=False, projector=None, pairwise=pairwise

@@ -47,33 +47,33 @@ __all__ = ["ScenarioFile", "scenario_from_json", "load_scenario", "schema"]
 _SCHEMA_URI = "urn:eventstates:scenario"
 # What each scenario is validated against: a draft-07 reference to the
 # packaged schema, so the packaged schema itself is meta-checked only once,
-# in _registry().
+# in _packaged().
 _ENTRY_SCHEMA = {"$schema": "http://json-schema.org/draft-07/schema#", "$ref": _SCHEMA_URI}
 
 
 def schema() -> dict:
     """The JSON schema scenario files are validated against."""
-    _registry()
     return _packaged()
 
 
 @functools.cache
 def _packaged() -> dict:
+    """The packaged schema, meta-checked against draft 07 on first use."""
     text = resources.files("eventstates").joinpath("data/scenario.schema.json").read_text()
-    return json.loads(text)
+    packaged = json.loads(text)
+    jsonschema.Draft7Validator.check_schema(packaged)
+    return packaged
 
 
 @functools.cache
 def _registry() -> referencing.Registry:
-    """The packaged schema, meta-checked against draft 07 on first use.
+    """A registry holding the packaged schema under _SCHEMA_URI.
 
     It is registered without its "$schema" key: jsonschema picks the
     validator class of a subschema that names its draft, which would leave
     _validator_class() at the "$ref".
     """
-    packaged = _packaged()
-    jsonschema.Draft7Validator.check_schema(packaged)
-    body = {key: value for key, value in packaged.items() if key != "$schema"}
+    body = {key: value for key, value in _packaged().items() if key != "$schema"}
     resource = referencing.jsonschema.DRAFT7.create_resource(body)
     return referencing.Registry().with_resource(_SCHEMA_URI, resource)
 

@@ -200,11 +200,8 @@ def _float_array_text(values: list) -> str:
     elif text.count(".") < len(values):
         # No token holds two dots, so some token lacks one: a bare integer,
         # which repr writes with ".0", or a form such as "1e-05", which it
-        # does not.  Zeros, the common case, go by replace (twice, as
-        # adjacent matches share a comma), the rest token by token.
-        text = f",{text},".replace(",0,", ",0.0,").replace(",0,", ",0.0,")[1:-1]
-        if text.count(".") < len(values):
-            text = ",".join([t if "." in t or "e" in t else t + ".0" for t in text.split(",")])
+        # does not.
+        text = ",".join([t if "." in t or "e" in t else t + ".0" for t in text.split(",")])
     return f"[{text}]"
 
 

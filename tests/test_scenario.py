@@ -36,6 +36,7 @@ def test_packaged_schema_is_valid_draft7():
 
 def test_packaged_schema_is_meta_checked_once_per_process(monkeypatch):
     # a benchmark tracer wraps jsonschema.validate, so every scenario still goes through it once
+    scenario._packaged.cache_clear()
     scenario._registry.cache_clear()
     validated, checked = [], []
     validate = jsonschema.validate
