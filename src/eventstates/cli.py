@@ -4,8 +4,9 @@ Subcommands load a scenario (or a previously built record state), run one
 analysis, and print either human-readable lines or machine-readable JSON
 (``--json``, canonical formatting) / CSV (``--csv``).
 
-Exit codes: 0 on success, 1 for a missing input file, 2 for a malformed
-scenario or state file, 3 for a numerical invariant failure.
+Exit codes: 0 on success, 1 for an input file that is missing or cannot be
+read or an output file that cannot be written, 2 for a malformed scenario or
+state file, 3 for a numerical invariant failure.
 """
 
 from __future__ import annotations
@@ -391,6 +392,10 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         name = exc.filename if exc.filename else exc
         print(f"error: file not found: {name}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # a path that exists but cannot be read or written (a directory, say)
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 1
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -241,9 +241,7 @@ def classical_correlation(
         best = int(np.argmax(values))
         return CorrelationReport(bits=float(values[best]), basis=_as_model(measurements[best]))
     if da != 2:
-        raise ValueError(
-            "first record is not a qubit; pass an explicit list of candidate measurements"
-        )
+        raise ScenarioError("first record is not a qubit; pass an explicit list of candidate measurements")
 
     thetas = np.linspace(0.0, np.pi, THETA_POINTS)
     phis = np.linspace(0.0, 2.0 * np.pi, PHI_POINTS, endpoint=False)

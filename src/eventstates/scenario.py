@@ -2,8 +2,9 @@
 
 A scenario file fixes the causal arrangement, the initial state, the two
 measured bases, and optionally evolutions, Hamiltonians, a timing block, and
-CHSH settings.  Files are schema-validated before any numerics run, so
-malformed input fails with a pointed diagnostic rather than a shape error.
+CHSH settings.  Files are validated against the packaged draft-07 schema,
+``data/scenario.schema.json``, before any numerics run, so malformed input
+fails with a pointed diagnostic rather than a shape error.
 
 Angles in scenario files are radians, except the CHSH settings, which are
 conventionally quoted in degrees.
@@ -19,8 +20,6 @@ from importlib import resources
 
 import jsonschema
 import numpy as np
-import referencing
-import referencing.jsonschema
 
 from .event_states import EventScenario
 from .policy import MAX_GRID_BINS, ScenarioError
@@ -44,38 +43,17 @@ from .timing import (
 
 __all__ = ["ScenarioFile", "scenario_from_json", "load_scenario", "schema"]
 
-_SCHEMA_URI = "urn:eventstates:scenario"
-# What each scenario is validated against: a draft-07 reference to the
-# packaged schema, so the packaged schema itself is meta-checked only once,
-# in _packaged().
-_ENTRY_SCHEMA = {"$schema": "http://json-schema.org/draft-07/schema#", "$ref": _SCHEMA_URI}
-
-
-def schema() -> dict:
-    """The JSON schema scenario files are validated against."""
-    return _packaged()
-
-
 @functools.cache
-def _packaged() -> dict:
-    """The packaged schema, meta-checked against draft 07 on first use."""
+def schema() -> dict:
+    """The JSON schema scenario files are validated against.
+
+    It is read from the package and meta-checked against draft 07 once per
+    process, on first use.
+    """
     text = resources.files("eventstates").joinpath("data/scenario.schema.json").read_text()
     packaged = json.loads(text)
     jsonschema.Draft7Validator.check_schema(packaged)
     return packaged
-
-
-@functools.cache
-def _registry() -> referencing.Registry:
-    """A registry holding the packaged schema under _SCHEMA_URI.
-
-    It is registered without its "$schema" key: jsonschema picks the
-    validator class of a subschema that names its draft, which would leave
-    _validator_class() at the "$ref".
-    """
-    body = {key: value for key, value in _packaged().items() if key != "$schema"}
-    resource = referencing.jsonschema.DRAFT7.create_resource(body)
-    return referencing.Registry().with_resource(_SCHEMA_URI, resource)
 
 
 @functools.cache
@@ -85,7 +63,9 @@ def _validator_class() -> type:
     An array whose items must be numbers and whose elements are all exactly
     ``float`` or ``int`` passes in one pass over their types; any other array
     (``bool`` and numpy scalars included) goes through draft 07's own
-    ``items``, so every error reads as it does there.
+    ``items``, so every error reads as it does there.  Its ``check_schema``
+    does nothing: the one schema it is given, :func:`schema`, is meta-checked
+    there.
     """
     items = jsonschema.Draft7Validator.VALIDATORS["items"]
 
@@ -95,7 +75,9 @@ def _validator_class() -> type:
                 return
         yield from items(validator, item_schema, instance, schema)
 
-    return jsonschema.validators.extend(jsonschema.Draft7Validator, {"items": number_items})
+    cls = jsonschema.validators.extend(jsonschema.Draft7Validator, {"items": number_items})
+    cls.check_schema = classmethod(lambda cls, schema, format_checker=None: None)
+    return cls
 
 
 @dataclass(frozen=True)
@@ -204,12 +186,13 @@ def _parse_timing(data: dict) -> EventTiming:
 def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
     """Validate and build a scenario from already-parsed JSON.
 
-    ``data`` is checked against the packaged draft-07 schema first; the
-    schema itself is meta-checked once per process, not once per call, and
-    each array of plain numbers is checked in one scan.
+    ``data`` is checked first by one ``jsonschema.validate`` call against
+    the packaged draft-07 schema itself, with no reference registry; the
+    schema is meta-checked once per process, not once per call, and each
+    array of plain numbers is checked in one scan.
     """
     try:
-        jsonschema.validate(data, _ENTRY_SCHEMA, cls=_validator_class(), registry=_registry())
+        jsonschema.validate(data, schema(), cls=_validator_class())
     except jsonschema.ValidationError as exc:
         raise ScenarioError(f"{source}: {exc.json_path}: {exc.message}") from None
 
@@ -253,8 +236,9 @@ def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
 def load_scenario(path: str) -> ScenarioFile:
     """Load and validate a scenario file.
 
-    Missing files raise FileNotFoundError; malformed JSON or schema
-    violations raise ScenarioError; numeric invariant failures raise
+    Missing or unreadable files raise OSError (FileNotFoundError when
+    missing); content that is not UTF-8 JSON, or schema violations, raise
+    ScenarioError; numeric invariant failures raise
     NumericsError.
     """
     return scenario_from_json(load_json_file(path), source=path)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any
 
@@ -51,6 +52,25 @@ def _require(data: dict, key: str, context: str) -> Any:
     return data[key]
 
 
+def _number(data: dict, key: str, context: str) -> float:
+    """``data[key]`` as a float; anything but a JSON number raises ScenarioError."""
+    value = _require(data, key, context)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{context}: {key} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _integer(data: dict, key: str, context: str) -> int:
+    """``data[key]`` as an int; only an integral JSON number (4 or 4.0) passes."""
+    value = _require(data, key, context)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        shown = repr(value) if isinstance(value, float) else type(value).__name__
+        raise ScenarioError(f"{context}: {key} must be an integer, got {shown}")
+    return int(value)
+
+
 def _parts_to_array(data: dict, context: str) -> np.ndarray:
     parts = _require(data, "re", context), _require(data, "im", context)
     try:
@@ -75,7 +95,7 @@ def operator_to_json(op: np.ndarray) -> dict:
 
 def operator_from_json(data: dict, *, name: str = "operator") -> np.ndarray:
     mat = _parts_to_array(data, name)
-    dim = int(_require(data, "dim", name))
+    dim = _integer(data, "dim", name)
     if mat.shape != (dim, dim):
         raise ScenarioError(f"{name}: declared dim {dim} does not match shape {mat.shape}")
     return mat
@@ -93,6 +113,8 @@ def basis_from_json(data: dict, *, name: str = "basis") -> MeasurementModel:
     labels = _require(data, "labels", name)
     try:
         return MeasurementModel.from_kets(kets, labels)
+    except TypeError as exc:
+        raise ScenarioError(f"{name}: labels must be an array of numbers") from exc
     except ValueError as exc:
         raise ScenarioError(f"{name}: {exc}") from exc
 
@@ -112,11 +134,9 @@ def profile_to_json(profile: TimingProfile) -> dict:
 def profile_from_json(data: dict, *, name: str = "profile") -> TimingProfile:
     amps = _parts_to_array(data, name)
     kind = _require(data, "kind", name)
-    n = amps.shape[0]
+    t0, dt = _number(data, "t0", name), _number(data, "dt", name)
     try:
-        grid = TimeGrid(
-            t0=float(_require(data, "t0", name)), dt=float(_require(data, "dt", name)), n_bins=n
-        )
+        grid = TimeGrid(t0=t0, dt=dt, n_bins=amps.shape[0])
         return TimingProfile(grid=grid, kind=kind, amplitudes=amps)
     except ValueError as exc:
         raise ScenarioError(f"{name}: {exc}") from exc
@@ -148,12 +168,10 @@ def state_from_json(data: dict) -> EventState:
     timers = None
     if "timers" in data:
         spec = data["timers"]
+        t0, dt = _number(spec, "t0", "timers"), _number(spec, "dt", "timers")
+        n_bins = _integer(spec, "n_bins", "timers")
         try:
-            timers = TimeGrid(
-                t0=float(_require(spec, "t0", "timers")),
-                dt=float(_require(spec, "dt", "timers")),
-                n_bins=int(_require(spec, "n_bins", "timers")),
-            )
+            timers = TimeGrid(t0=t0, dt=dt, n_bins=n_bins)
         except (OverflowError, ValueError) as exc:
             raise ScenarioError(f"timers: {exc}") from exc
     return EventState(kind=kind, rho=rho, basis_a=basis_a, basis_b=basis_b, timers=timers)
@@ -245,12 +263,18 @@ def save_state(path: str, state: EventState) -> None:
         fh.write("\n")
 
 
+def _json_int(text: str) -> int | float:
+    """An integer literal; one beyond the float range reads as an infinity, as 1e400 does."""
+    value = float(text)
+    return int(text) if math.isfinite(value) else value
+
+
 def load_json_file(path: str) -> dict:
-    """Read a JSON object from disk; malformed content raises ScenarioError."""
+    """Read a JSON object from disk; content that is not UTF-8 JSON raises ScenarioError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = json.load(fh, parse_int=_json_int)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be a JSON object")

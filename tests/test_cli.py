@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -23,6 +24,7 @@ from eventstates import (
     build_tl_instant,
     chsh_scenarios,
     chsh_value,
+    classical_correlation,
     coherence_witness,
     determinism_check,
     load_scenario,
@@ -200,6 +202,10 @@ def _timed_tl(grid=None, profile_b=None):
             ),
             "hamiltonian",
         ),
+        # integers beyond the float range read as 1e400 reads: as an infinity
+        (dict(_PLAIN_TL, initial={"ket": {"re": [10**400, 0.0], "im": [0.0, 0.0]}}), "initial.ket"),
+        (dict(_PLAIN_TL, evolution={"axis": "x", "angle": -(10**400)}), "evolution"),
+        (dict(_PLAIN_TL, basisA={"theta": 0.3, "labels": [10**400, 1.0]}), "basisA"),
     ],
     ids=[
         "duplicate-labels",
@@ -218,6 +224,9 @@ def _timed_tl(grid=None, profile_b=None):
         "huge-lag",
         "huge-grid-dt",
         "huge-hamiltonian-entry",
+        "huge-integer-ket-entry",
+        "huge-integer-rotation-angle",
+        "huge-integer-axis-label",
     ],
 )
 def test_malformed_fields_exit_two_with_one_line(capsys, tmp_path, scenario, field):
@@ -249,14 +258,30 @@ def test_huge_density_entries_exit_three_with_one_line(capsys, tmp_path, entry):
         assert _run(capsys, command, str(path)) == (3, "", err)
 
 
-# Scenario mutants: one leaf of a bundled demo (or of a small timed TL
-# scenario) deleted or replaced by a value of the wrong kind, sign or size.
+# Mutants: one leaf of a bundled demo, of a small timed TL scenario or of the
+# state files built from it, deleted or replaced by a value of the wrong kind,
+# sign or size.
 _DELETE = object()
 _MUTANT_VALUES = [_DELETE, None, "x", -1, 0, 2, 1e308, -1e308, float("nan"), [], {}, True, [1, 2, 3]]
+
+
+def _built_state(*flags):
+    """The state file that ``build --out`` writes for the small timed TL scenario."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "timed.json"), os.path.join(tmp, "timed.state.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_timed_tl(), fh)
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("ignore")
+            assert main(["build", path, *flags, "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
 _MUTANT_SEEDS = [
     json.loads(resources.files("eventstates").joinpath(f"data/{name}").read_text())
     for name in DEMO_FILES.values()
-] + [_timed_tl()]
+] + [_timed_tl(), _built_state(), _built_state("--timed")]
 _MUTANT_COMMANDS = (
     ["validate"],
     ["build"],
@@ -400,6 +425,72 @@ def test_state_file_with_oversized_timer_grid_exits_two(capsys, tmp_path, n_bins
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("error: timers:")
+
+
+@pytest.mark.parametrize(
+    "flags, path, value, error",
+    [
+        ((), ("dim",), None, "state: dim must be an integer, got NoneType"),
+        ((), ("dim",), [4], "state: dim must be an integer, got list"),
+        ((), ("dim",), 2.5, "state: dim must be an integer, got 2.5"),
+        ((), ("dim",), "4", "state: dim must be an integer, got str"),
+        ((), ("re", 0, 0), 10**400, "state: non-finite entries"),
+        ((), ("record_basisA", "labels"), {"a": 1}, "record_basisA: labels must be an array of numbers"),
+        ((), ("record_basisB", "labels", 0), 10**400, "record_basisB: outcome labels must be finite"),
+        (("--timed",), ("timers", "t0"), [0.0], "timers: t0 must be a number, got list"),
+        (("--timed",), ("timers", "t0"), 10**400, "timers: t0 must be finite"),
+        (("--timed",), ("timers", "n_bins"), None, "timers: n_bins must be an integer, got NoneType"),
+        (("--timed",), ("timers", "n_bins"), 2.5, "timers: n_bins must be an integer, got 2.5"),
+        (("--timed",), ("timers", "n_bins"), "4", "timers: n_bins must be an integer, got str"),
+        (("--timed",), ("timers",), [1, 2], "timers: expected an object, got list"),
+    ],
+    ids=[
+        "null-dim",
+        "list-dim",
+        "fractional-dim",
+        "string-dim",
+        "huge-integer-entry",
+        "object-labels",
+        "huge-integer-label",
+        "list-t0",
+        "huge-integer-t0",
+        "null-n-bins",
+        "fractional-n-bins",
+        "string-n-bins",
+        "list-timers",
+    ],
+)
+def test_malformed_state_fields_exit_two_with_one_line(capsys, tmp_path, flags, path, value, error):
+    state = tmp_path / "timed.state.json"
+    state.write_text(json.dumps(_mutant(_built_state(*flags), path, value)))
+    for command in ("witness", "discriminate", "classical-corr"):
+        assert _run(capsys, command, str(state)) == (2, "", f"error: {error}\n")
+
+
+def test_unreadable_paths_exit_one_and_undecodable_files_exit_two(capsys, tmp_path):
+    for argv in (["validate", str(tmp_path)], ["build", _bundled("bell_sl.json"), "--out", str(tmp_path)]):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {tmp_path}: ")
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    for command in ("validate", "witness"):
+        code, out, err = _run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: not valid JSON (")
+
+
+def test_classical_corr_of_a_qutrit_first_record_exits_two(capsys, tmp_path):
+    identity = {"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist(), "labels": [0.0, 1.0, 2.0]}
+    ket = {"re": [1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0]}
+    path = tmp_path / "qutrit.json"
+    path.write_text(json.dumps({"kind": "TL", "initial": {"ket": ket}, "basisA": identity, "basisB": identity}))
+    code, out, err = _run(capsys, "classical-corr", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: first record is not a qubit; pass an explicit list of candidate measurements\n"
+    # library callers that catch ValueError still catch it
+    with pytest.raises(ValueError, match="not a qubit"):
+        classical_correlation(build_event_state(load_scenario(str(path)).scenario))
 
 
 def test_build_prints_summary(capsys):

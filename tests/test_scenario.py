@@ -36,8 +36,7 @@ def test_packaged_schema_is_valid_draft7():
 
 def test_packaged_schema_is_meta_checked_once_per_process(monkeypatch):
     # a benchmark tracer wraps jsonschema.validate, so every scenario still goes through it once
-    scenario._packaged.cache_clear()
-    scenario._registry.cache_clear()
+    scenario.schema.cache_clear()
     validated, checked = [], []
     validate = jsonschema.validate
     check_schema = jsonschema.Draft7Validator.check_schema
@@ -57,6 +56,23 @@ def test_packaged_schema_is_meta_checked_once_per_process(monkeypatch):
         scenario_from_json(data)
     assert len(validated) == 20
     assert [doc is schema() for doc in checked].count(True) == 1
+
+
+def test_scenarios_validate_with_no_meta_check_of_their_own(monkeypatch):
+    # a meta-check runs a draft-07 validator over the meta-schema; schema() ran its one already
+    schema()
+    checks = []
+    iter_errors = jsonschema.Draft7Validator.iter_errors
+
+    def recording_iter_errors(self, *args, **kwargs):
+        if self.schema == jsonschema.Draft7Validator.META_SCHEMA:
+            checks.append(args)
+        return iter_errors(self, *args, **kwargs)
+
+    monkeypatch.setattr(jsonschema.Draft7Validator, "iter_errors", recording_iter_errors)
+    for _ in range(5):
+        scenario_from_json(_bundled("bell_sl.json"))
+    assert checks == []
 
 
 def _set(doc, path, value):
