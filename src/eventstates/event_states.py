@@ -20,6 +20,7 @@ record; independent-pair states are diagonal in the joint record basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -234,10 +235,31 @@ class EventState:
     def dims(self) -> tuple[int, int]:
         return self.basis_a.dim, self.basis_b.dim
 
+    @functools.cached_property
+    def _split(self) -> ConditionalDecomposition:
+        """The split behind :func:`conditional_decomposition`, made once: ``rho`` is read-only."""
+        if self.timers is not None:
+            raise ScenarioError("trace out the timer registers first")
+        da, db = self.dims
+        four = self.rho.reshape(da, db, da, db)
+        off_diagonal = ~np.eye(db, dtype=bool)
+        cross = float(np.max(np.max(np.abs(four), axis=(0, 2))[off_diagonal], initial=0.0))
+        if cross > HERMITICITY_TOL:
+            raise NumericsError(
+                f"state carries coherence between second-record values (max {cross:.3e}); "
+                "it does not decompose by that record"
+            )
 
-def _record_matrix(basis_to: MeasurementModel, u: np.ndarray, basis_from: MeasurementModel) -> np.ndarray:
-    """Matrix elements <to_b| U |from_a>, indexed [b, a]."""
-    return basis_to.kets.conj() @ u @ basis_from.kets.T
+        blocks = np.einsum("abAb->baA", four)
+        probs = np.real(np.einsum("baa->b", blocks))
+        live = probs >= EMPTY_BLOCK_FLOOR
+        probs = np.where(live, probs, 0.0)
+        sigmas = blocks / np.where(live, probs, 1.0)[:, None, None]
+        sigmas = 0.5 * (sigmas + sigmas.conj().swapaxes(-1, -2))
+        sigmas[~live] = 0.0
+        return ConditionalDecomposition(
+            kind=self.kind, probs=_readonly(probs), sigmas=_readonly(sigmas), labels_b=self.basis_b.labels
+        )
 
 
 def _evolution_family(hamiltonian: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -289,7 +311,7 @@ def build_tl_instant(scenario: EventScenario) -> EventState:
     rho_s = scenario.initial_density()
     u = scenario.evolution if scenario.evolution is not None else np.eye(d, dtype=complex)
     rho_a = scenario.basis_a.kets.conj() @ rho_s @ scenario.basis_a.kets.T
-    hops = _record_matrix(scenario.basis_b, u, scenario.basis_a)
+    hops = scenario.basis_b.kets.conj() @ u @ scenario.basis_a.kets.T  # <b| U |a>, indexed [b, a]
     blocks = hops[:, :, None] * rho_a * hops[:, None, :].conj()
     return EventState(
         kind="TL",
@@ -505,24 +527,42 @@ def outcome_probabilities(state: EventState) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConditionalDecomposition:
-    """Record state split by the second detector's outcome.
+    """Record state split by the second detector's outcome: sum_b probs[b] sigmas[b] (x) |b><b|.
 
-    ``probs[b]`` is the chance of second outcome b; ``conditionals[b]`` is
-    the first record's state given that outcome (None when the outcome never
-    fires).  For ordered events whose conditionals are all pure,
+    ``probs[b]`` is the chance of second outcome b; ``sigmas`` is one
+    read-only (db, da, da) array of the first record's states given each
+    outcome, exactly zero where ``probs[b] == 0`` (``conditionals`` has None
+    there).  For ordered events whose conditionals are all pure,
     ``lambdas[b]`` holds the conditional kets, phase-fixed so the first
-    nonvanishing amplitude is real positive.
+    nonvanishing amplitude is real positive, computed on first request.
     """
 
     kind: Literal["SL", "TL"]
     probs: np.ndarray
-    conditionals: tuple
-    lambdas: tuple | None
+    sigmas: np.ndarray
     labels_b: np.ndarray
 
     @property
     def n_outcomes(self) -> int:
         return self.probs.size
+
+    @property
+    def conditionals(self) -> tuple:
+        return tuple(sigma if p > 0.0 else None for sigma, p in zip(self.sigmas, self.probs))
+
+    @functools.cached_property
+    def lambdas(self) -> tuple | None:
+        if self.kind != "TL":
+            return None
+        live = self.probs > 0.0
+        vals, vecs = np.linalg.eigh(self.sigmas)
+        if not np.all(np.abs(vals[live, -1] - 1.0) <= PURE_BLOCK_TOL):
+            return None
+        kets = vecs[..., -1]
+        first = np.argmax(np.abs(kets) > PHASE_SUPPORT_FLOOR, axis=1)
+        lead = np.take_along_axis(kets, first[:, None], axis=1)
+        kets = _readonly(kets * (lead.conj() / np.abs(lead)))
+        return tuple(ket if ok else None for ket, ok in zip(kets, live))
 
     @property
     def pure(self) -> bool:
@@ -533,57 +573,12 @@ def conditional_decomposition(state: EventState) -> ConditionalDecomposition:
     """Split a detector-space state by the second record's value.
 
     Requires the state to carry no coherence between different second
-    records (true of every state this module builds).
+    records (true of every state this module builds).  Each state is split
+    once; later calls return the same object.
     """
-    if state.timers is not None:
-        raise ScenarioError("trace out the timer registers first")
-    da, db = state.dims
-    four = state.rho.reshape(da, db, da, db)
-    off_diagonal = ~np.eye(db, dtype=bool)
-    cross = float(np.max(np.max(np.abs(four), axis=(0, 2))[off_diagonal], initial=0.0))
-    if cross > HERMITICITY_TOL:
-        raise NumericsError(
-            f"state carries coherence between second-record values (max {cross:.3e}); "
-            "it does not decompose by that record"
-        )
-
-    blocks = np.einsum("abAb->baA", four)
-    probs = np.real(np.einsum("baa->b", blocks))
-    live = probs >= EMPTY_BLOCK_FLOOR
-    probs = np.where(live, probs, 0.0)
-    sigmas = blocks / np.where(live, probs, 1.0)[:, None, None]
-    sigmas = 0.5 * (sigmas + sigmas.conj().swapaxes(-1, -2))
-
-    lambdas: tuple | None = None
-    if state.kind == "TL":
-        vals, vecs = np.linalg.eigh(sigmas)
-        if np.all(np.abs(vals[live, -1] - 1.0) <= PURE_BLOCK_TOL):
-            kets = vecs[..., -1]
-            first = np.argmax(np.abs(kets) > PHASE_SUPPORT_FLOOR, axis=1)
-            lead = np.take_along_axis(kets, first[:, None], axis=1)
-            lambdas = _per_outcome(kets * (lead.conj() / np.abs(lead)), live)
-
-    return ConditionalDecomposition(
-        kind=state.kind,
-        probs=_readonly(probs),
-        conditionals=_per_outcome(sigmas, live),
-        lambdas=lambdas,
-        labels_b=state.basis_b.labels,
-    )
-
-
-def _per_outcome(rows: np.ndarray, live: np.ndarray) -> tuple:
-    """Read-only rows as a tuple, None in the place of outcomes that never fire."""
-    rows = _readonly(rows)
-    return tuple(row if ok else None for row, ok in zip(rows, live))
-
-
-def _conditional_stack(decomp: ConditionalDecomposition, da: int) -> np.ndarray:
-    """The conditionals as one (db, da, da) stack, zero where an outcome never fires."""
-    zero = np.zeros((da, da), dtype=complex)
-    return np.array([zero if sigma is None else sigma for sigma in decomp.conditionals])
+    return state._split
 
 
 def reconstruct_from_decomposition(decomp: ConditionalDecomposition, da: int) -> np.ndarray:
-    """Reassemble sum_b p_b sigma_b (x) |b><b| from a decomposition."""
-    return _block_diagonal_in_b(decomp.probs[:, None, None] * _conditional_stack(decomp, da))
+    """Reassemble sum_b p_b sigma_b (x) |b><b| from a decomposition of da x da blocks."""
+    return _block_diagonal_in_b(decomp.probs[:, None, None] * decomp.sigmas)

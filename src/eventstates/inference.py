@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .event_states import EventState, _conditional_stack, conditional_decomposition
+from .event_states import EventState, conditional_decomposition
 from .policy import DETERMINISM_TOL, EIGENVALUE_FLOOR, EMPTY_BLOCK_FLOOR, PRIOR_SUM_TOL, ScenarioError
 from .quantum_core import (
     MeasurementModel,
@@ -139,7 +139,7 @@ def predict_future_outcome(state: EventState) -> PredictionReport:
     first-record conditionals with their outcome probabilities as priors.
     """
     decomp = conditional_decomposition(state)
-    probs, sigmas = decomp.probs, decomp.conditionals
+    probs, sigmas = decomp.probs, decomp.sigmas
     live = np.flatnonzero(probs > 0.0)
     if live.size <= 1:
         return PredictionReport(success=1.0, exact=True, projector=None, pairwise=None)
@@ -153,7 +153,7 @@ def predict_future_outcome(state: EventState) -> PredictionReport:
             success=result.success, exact=True, projector=result.projector, pairwise=None
         )
 
-    weighted = probs[:, None, None] * _conditional_stack(decomp, state.dims[0])
+    weighted = probs[:, None, None] * sigmas
     root = _sqrt_pinv(weighted.sum(axis=0))
     success = float(np.real(np.einsum("ij,bjk,kl,bli->", root, weighted, root, weighted)))
     # helstrom_success for the pairs (i, j > i) of each live row from one
@@ -293,7 +293,7 @@ def determinism_check(state: EventState) -> DeterminismReport:
     """Decide whether the second outcome is perfectly encoded in the first record."""
     if state.kind != "TL":
         raise ScenarioError("determinism of the second outcome only applies to ordered pairs")
-    sigmas = _conditional_stack(conditional_decomposition(state), state.dims[0])
+    sigmas = conditional_decomposition(state).sigmas
     # Tr(sigma_b sigma_c) for Hermitian blocks; rows of empty outcomes are zero.
     overlaps = np.real(np.einsum("bij,cij->bc", sigmas, sigmas.conj()))
     worst = float(np.max(overlaps[~np.eye(len(sigmas), dtype=bool)], initial=0.0))

@@ -9,6 +9,7 @@ runs byte-identical.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -71,12 +72,25 @@ def _integer(data: dict, key: str, context: str) -> int:
     return int(value)
 
 
+def _float_array(value: Any, error: str) -> np.ndarray:
+    """``value`` as a float array; unless it is rectangular and every element is
+    a real number but not a bool (one flat scan of types), raise ``error``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(error) from exc
+    leaves = value if arr.ndim else [value]
+    for _ in range(arr.ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    if not all(t is not bool and issubclass(t, numbers.Real) for t in set(map(type, leaves))):
+        raise ScenarioError(error)
+    return arr
+
+
 def _parts_to_array(data: dict, context: str) -> np.ndarray:
     parts = _require(data, "re", context), _require(data, "im", context)
-    try:
-        re, im = (np.asarray(part, dtype=float) for part in parts)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{context}: re/im must be rectangular arrays of numbers") from exc
+    error = f"{context}: re/im must be rectangular arrays of numbers"
+    re, im = (_float_array(part, error) for part in parts)
     if re.shape != im.shape:
         raise ScenarioError(f"{context}: re/im shapes differ ({re.shape} vs {im.shape})")
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
@@ -110,11 +124,9 @@ def basis_to_json(basis: MeasurementModel) -> dict:
 
 def basis_from_json(data: dict, *, name: str = "basis") -> MeasurementModel:
     kets = operator_from_json(data, name=name)
-    labels = _require(data, "labels", name)
+    labels = _float_array(_require(data, "labels", name), f"{name}: labels must be an array of numbers")
     try:
         return MeasurementModel.from_kets(kets, labels)
-    except TypeError as exc:
-        raise ScenarioError(f"{name}: labels must be an array of numbers") from exc
     except ValueError as exc:
         raise ScenarioError(f"{name}: {exc}") from exc
 

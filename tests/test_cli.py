@@ -314,10 +314,24 @@ def _mutant(doc, path, value):
     return doc
 
 
+def _leaf_fields(doc):
+    """Leaf paths grouped by field: the key path with its list indices dropped."""
+    fields = {}
+    for path in _leaf_paths(doc):
+        fields.setdefault(tuple(key for key in path if isinstance(key, str)), []).append(path)
+    return list(fields.values())
+
+
+# Seeds with their fields.  A field is drawn before a leaf in it, so the
+# thousands of matrix entries in a state file do not crowd out dim, labels,
+# timers and kind.
+_MUTANT_FIELDS = [(doc, _leaf_fields(doc)) for doc in _MUTANT_SEEDS]
+
+
 @st.composite
 def _mutated_scenarios(draw):
-    doc = draw(st.sampled_from(_MUTANT_SEEDS))
-    path = draw(st.sampled_from(list(_leaf_paths(doc))))
+    doc, fields = draw(st.sampled_from(_MUTANT_FIELDS))
+    path = draw(st.sampled_from(draw(st.sampled_from(fields))))
     return _mutant(doc, path, draw(st.sampled_from(_MUTANT_VALUES)))
 
 
@@ -465,6 +479,56 @@ def test_malformed_state_fields_exit_two_with_one_line(capsys, tmp_path, flags, 
     state.write_text(json.dumps(_mutant(_built_state(*flags), path, value)))
     for command in ("witness", "discriminate", "classical-corr"):
         assert _run(capsys, command, str(state)) == (2, "", f"error: {error}\n")
+
+
+# A TL scenario whose first profile is a raw table; the schema leaves its re/im open.
+_RAW_PROFILE_TL = dict(
+    _PLAIN_TL,
+    hamiltonian=_ZERO_H,
+    timing={
+        "grid": {"dt": 0.5, "n_bins": 2},
+        "profileA": {"t0": 0.0, "dt": 0.5, "kind": "marginal", "re": [1.0, 1.0], "im": [0.0, 0.0]},
+        "profileB": {"type": "delta", "conditional": True, "lag_bins": 0},
+    },
+)
+_NOT_LABELS = "labels must be an array of numbers"
+_NOT_PARTS = "re/im must be rectangular arrays of numbers"
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, error",
+    [
+        ("state", ("record_basisA", "labels", 0), "2", f"record_basisA: {_NOT_LABELS}"),
+        ("state", ("record_basisA", "labels", 0), True, f"record_basisA: {_NOT_LABELS}"),
+        ("state", ("record_basisA", "re", 0, 0), True, f"record_basisA: {_NOT_PARTS}"),
+        ("state", ("record_basisA", "im", 0, 0), False, f"record_basisA: {_NOT_PARTS}"),
+        ("state", ("re", 0, 0), "0.36", f"state: {_NOT_PARTS}"),
+        ("scenario", ("timing", "profileA", "re"), [True, True], f"timing.profileA: {_NOT_PARTS}"),
+        ("scenario", ("timing", "profileA", "re"), ["1", "1"], f"timing.profileA: {_NOT_PARTS}"),
+        ("scenario", ("timing", "profileA", "im"), [0.0, None], f"timing.profileA: {_NOT_PARTS}"),
+    ],
+    ids=[
+        "string-label",
+        "boolean-label",
+        "boolean-basis-re",
+        "boolean-basis-im",
+        "string-state-entry",
+        "boolean-profile-re",
+        "string-profile-re",
+        "null-profile-im",
+    ],
+)
+def test_number_arrays_take_only_json_numbers(capsys, tmp_path, kind, path, value, error):
+    if kind == "state":
+        doc, commands = _built_state(), ("witness", "discriminate", "classical-corr")
+    else:
+        doc, commands = _RAW_PROFILE_TL, ("validate", "build", "witness")
+    file = tmp_path / f"{kind}.json"
+    file.write_text(json.dumps(doc))
+    assert _run(capsys, commands[0], str(file))[0] == 0
+    file.write_text(json.dumps(_mutant(doc, path, value)))
+    for command in commands:
+        assert _run(capsys, command, str(file)) == (2, "", f"error: {error}\n")
 
 
 def test_unreadable_paths_exit_one_and_undecodable_files_exit_two(capsys, tmp_path):

@@ -24,10 +24,12 @@ from eventstates import (
     conditional_decomposition,
     delta_conditional,
     delta_profile,
+    determinism_check,
     exponential_conditional,
     exponential_profile,
     joint_time_distribution,
     outcome_probabilities,
+    predict_future_outcome,
     reconstruct_from_decomposition,
     timer_distribution,
     trace_out_timers,
@@ -761,6 +763,44 @@ def test_fuzzy_tl_conditionals_can_be_mixed():
     # averaging over firing times generally leaves mixed branches
     assert not decomp.pure
     assert decomp.lambdas is None
+
+
+@pytest.mark.parametrize("dim", [2, 3], ids=["helstrom", "square-root"])
+def test_each_state_is_split_once(dim):
+    state = build_tl_instant(random_tl_scenario(rng_for(44), dim))
+    decomp = conditional_decomposition(state)
+    assert conditional_decomposition(state) is decomp
+    predict_future_outcome(state)
+    determinism_check(state)
+    assert conditional_decomposition(state) is decomp
+
+
+def test_sigmas_are_read_only_and_zero_where_an_outcome_never_fires():
+    sc = EventScenario(
+        kind="TL",
+        initial=np.array([1.0, 0.0]),
+        basis_a=MeasurementModel.sz(),
+        basis_b=MeasurementModel.sz(),
+    )
+    decomp = conditional_decomposition(build_tl_instant(sc))
+    assert decomp.sigmas.shape == (2, 2, 2)
+    assert not decomp.sigmas.flags.writeable
+    assert decomp.probs[1] == 0.0
+    assert np.all(decomp.sigmas[1] == 0.0)
+    np.testing.assert_array_equal(decomp.conditionals[0], decomp.sigmas[0])
+    with pytest.raises(ValueError):
+        decomp.sigmas[0, 0, 0] = 0.0
+
+
+def test_split_failures_raise_on_every_call():
+    timed = build_timed_state(random_timed_tl_scenario(rng_for(35), n_bins=2))
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
+    coherent = EventState(kind="TL", rho=bell, basis_a=MeasurementModel.sz(), basis_b=MeasurementModel.sz())
+    for state, error in ((timed, ScenarioError), (coherent, NumericsError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                conditional_decomposition(state)
 
 
 def test_event_state_validates_density_and_dims():
