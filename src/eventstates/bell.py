@@ -30,9 +30,7 @@ TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
 
 
 def event_correlator(state: EventState) -> float:
-    """Expectation of the product of the two recorded outcome labels."""
-    if state.timers is not None:
-        raise ScenarioError("trace out the timer registers first")
+    """Expectation of the product of the two recorded outcome labels (detector-space states only)."""
     probs = outcome_probabilities(state)
     return float(state.basis_a.labels @ probs @ state.basis_b.labels)
 

@@ -45,8 +45,7 @@ from .quantum_core import (
     assert_density,
     assert_unitary,
 )
-# CONDITIONAL, MARGINAL and TimingProfile are unused here but stay importable from this module.
-from .timing import CONDITIONAL, MARGINAL, EventTiming, JointTimeDistribution, TimeGrid, TimingProfile
+from .timing import EventTiming, JointTimeDistribution, TimeGrid
 
 __all__ = [
     "EventTiming",
@@ -207,7 +206,7 @@ class EventScenario:
 
 @dataclass(frozen=True, eq=False)
 class EventState:
-    """Joint density matrix of the two measurement records.
+    """Joint density matrix of the two measurement records, arranged "SL" or "TL".
 
     Detector-space states live on record_a x record_b (dimension da * db).
     Timer-register states carry ``timers`` and live on
@@ -222,6 +221,8 @@ class EventState:
     timers: TimeGrid | None = None
 
     def __post_init__(self):
+        if self.kind not in ("SL", "TL"):
+            raise ScenarioError(f"kind must be 'SL' or 'TL', got {self.kind!r}")
         rho = assert_density(self.rho, name="event state")
         da, db = self.basis_a.dim, self.basis_b.dim
         expect = da * db
@@ -235,13 +236,26 @@ class EventState:
     def dims(self) -> tuple[int, int]:
         return self.basis_a.dim, self.basis_b.dim
 
+    @property
+    def detector_rho(self) -> np.ndarray:
+        """``rho`` of a detector-space state; a timer-register state raises :class:`ScenarioError`."""
+        if self.timers is not None:
+            raise ScenarioError("trace out the timer registers first")
+        return self.rho
+
+    def _timed_tensor(self) -> np.ndarray:
+        """``rho`` of a timer-register state as an eight-index (k, a, l, b, k', a', l', b') tensor."""
+        if self.timers is None:
+            raise ScenarioError("state carries no timer registers")
+        n = self.timers.n_bins
+        da, db = self.dims
+        return self.rho.reshape(n, da, n, db, n, da, n, db)
+
     @functools.cached_property
     def _split(self) -> ConditionalDecomposition:
         """The split behind :func:`conditional_decomposition`, made once: ``rho`` is read-only."""
-        if self.timers is not None:
-            raise ScenarioError("trace out the timer registers first")
         da, db = self.dims
-        four = self.rho.reshape(da, db, da, db)
+        four = self.detector_rho.reshape(da, db, da, db)
         off_diagonal = ~np.eye(db, dtype=bool)
         cross = float(np.max(np.max(np.abs(four), axis=(0, 2))[off_diagonal], initial=0.0))
         if cross > HERMITICITY_TOL:
@@ -493,36 +507,24 @@ def build_event_state(scenario: EventScenario) -> EventState:
     return builder(scenario)
 
 
-def _timed_tensor(state: EventState) -> np.ndarray:
-    n = state.timers.n_bins
-    da, db = state.dims
-    return state.rho.reshape(n, da, n, db, n, da, n, db)
-
-
 def trace_out_timers(state: EventState) -> EventState:
     """Reduce a timer-register state to the detector records alone."""
-    if state.timers is None:
-        raise ScenarioError("state carries no timer registers")
     da, db = state.dims
-    reduced = np.einsum("kalbkAlB->abAB", _timed_tensor(state)).reshape(da * db, da * db)
+    reduced = np.einsum("kalbkAlB->abAB", state._timed_tensor()).reshape(da * db, da * db)
     reduced = 0.5 * (reduced + reduced.conj().T)
     return EventState(kind=state.kind, rho=reduced, basis_a=state.basis_a, basis_b=state.basis_b)
 
 
 def timer_distribution(state: EventState) -> JointTimeDistribution:
     """Joint firing-time table read off a timer-register state."""
-    if state.timers is None:
-        raise ScenarioError("state carries no timer registers")
-    table = np.real(np.einsum("kalbkalb->kl", _timed_tensor(state)))
+    table = np.real(np.einsum("kalbkalb->kl", state._timed_tensor()))
     return JointTimeDistribution(grid=state.timers, kind=state.kind, table=np.clip(table, 0.0, None))
 
 
 def outcome_probabilities(state: EventState) -> np.ndarray:
     """Joint record probabilities p(a, b) of a detector-space state."""
-    if state.timers is not None:
-        raise ScenarioError("trace out the timer registers first")
     da, db = state.dims
-    return np.clip(np.real(np.diag(state.rho)).reshape(da, db), 0.0, None)
+    return np.clip(np.real(np.diag(state.detector_rho)).reshape(da, db), 0.0, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,10 +543,6 @@ class ConditionalDecomposition:
     probs: np.ndarray
     sigmas: np.ndarray
     labels_b: np.ndarray
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.probs.size
 
     @property
     def conditionals(self) -> tuple:
@@ -581,4 +579,6 @@ def conditional_decomposition(state: EventState) -> ConditionalDecomposition:
 
 def reconstruct_from_decomposition(decomp: ConditionalDecomposition, da: int) -> np.ndarray:
     """Reassemble sum_b p_b sigma_b (x) |b><b| from a decomposition of da x da blocks."""
+    if da != decomp.sigmas.shape[-1]:
+        raise ScenarioError(f"decomposition holds {decomp.sigmas.shape[-1]}-dim first records, not {da}")
     return _block_diagonal_in_b(decomp.probs[:, None, None] * decomp.sigmas)

@@ -27,6 +27,8 @@ from .event_states import EventState, conditional_decomposition
 from .policy import DETERMINISM_TOL, EIGENVALUE_FLOOR, EMPTY_BLOCK_FLOOR, PRIOR_SUM_TOL, ScenarioError
 from .quantum_core import (
     MeasurementModel,
+    as_ket,
+    assert_unitary,
     bloch_pair,
     partial_trace,
     von_neumann_entropy,
@@ -203,43 +205,29 @@ class CorrelationReport:
     bits: float
     basis: MeasurementModel
 
-    def __float__(self) -> float:
-        return self.bits
-
-
-def _as_model(candidate) -> MeasurementModel:
-    if isinstance(candidate, MeasurementModel):
-        return candidate
-    kets = np.asarray(candidate, dtype=complex)
-    return MeasurementModel(kets=kets, labels=np.arange(kets.shape[0], dtype=float))
-
 
 def classical_correlation(
     state: EventState,
     *,
-    measurements: list | None = None,
+    measurements: list[MeasurementModel] | None = None,
 ) -> CorrelationReport:
     """Classical correlation of the second record with the first, in bits.
 
     Maximizes S(rho_b) - sum_i p_i S(rho_b | i) over complete projective
     measurements of the first record.  Qubit first records are searched over
     the Bloch sphere (coarse grid plus a simplex refinement); larger records
-    need an explicit list of candidate bases.
+    need ``measurements``, a list of candidate :class:`MeasurementModel` bases.
     """
-    if state.timers is not None:
-        raise ScenarioError("trace out the timer registers first")
+    rho = state.detector_rho
     da, db = state.dims
-    rho4 = state.rho.reshape(da, db, da, db)
-    rho_b = partial_trace(state.rho, (da, db), keep="B")
+    rho4 = rho.reshape(da, db, da, db)
+    rho_b = partial_trace(rho, (da, db), keep="B")
     entropy_b = von_neumann_entropy(rho_b)
 
     if measurements is not None:
-        stacked = np.stack(
-            [m.kets if isinstance(m, MeasurementModel) else np.asarray(m, dtype=complex) for m in measurements]
-        )
-        values = _holevo_like(rho4, stacked, entropy_b)
+        values = _holevo_like(rho4, np.stack([m.kets for m in measurements]), entropy_b)
         best = int(np.argmax(values))
-        return CorrelationReport(bits=float(values[best]), basis=_as_model(measurements[best]))
+        return CorrelationReport(bits=float(values[best]), basis=measurements[best])
     if da != 2:
         raise ScenarioError("first record is not a qubit; pass an explicit list of candidate measurements")
 
@@ -347,14 +335,16 @@ def find_deterministic_basis(
     smallest polar angle is returned; when r lies along +-z every axis on the
     equator qualifies and the smallest azimuth, (pi/2, 0), is taken.  The
     residual overlap is computed for that axis, and ``found`` certifies it
-    is at most ``BASIS_RESIDUAL_TOL``.  The initial state must be a ket.
+    is at most ``BASIS_RESIDUAL_TOL``.  The initial state must be a unit ket
+    and ``evolution`` (None for none) unitary.
     """
     psi0 = np.asarray(initial, dtype=complex)
     if psi0.ndim != 1:
         raise ScenarioError("the basis search needs a pure initial state")
     if psi0.shape[0] != 2 or basis_b.dim != 2:
         raise ScenarioError("the basis search is implemented for qubits")
-    u = np.eye(2, dtype=complex) if evolution is None else np.asarray(evolution, dtype=complex)
+    psi0 = as_ket(psi0, name="initial state")
+    u = np.eye(2, dtype=complex) if evolution is None else assert_unitary(evolution, name="evolution")
 
     a, b = psi0
     ab = complex(np.conj(a) * b)

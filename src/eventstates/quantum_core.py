@@ -106,12 +106,9 @@ def projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def tensor_product(a, b, *more) -> np.ndarray:
-    """Kronecker product of two or more operators (or kets)."""
-    out = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-    for extra in more:
-        out = np.kron(out, np.asarray(extra, dtype=complex))
-    return out
+def tensor_product(a, b) -> np.ndarray:
+    """Kronecker product of two operators (or kets)."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
@@ -174,49 +171,34 @@ def trace_distance(rho, sigma) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def _basis_rows(basis, dim: int) -> np.ndarray | None:
-    """Resolve a dephasing basis to a (dim, dim) array of kets, or None for computational."""
+def _populations(mat: np.ndarray, basis: MeasurementModel | None) -> np.ndarray:
+    """Diagonal of ``mat`` in ``basis``, or in the computational basis for None."""
     if basis is None:
-        return None
-    if isinstance(basis, MeasurementModel):
-        rows = basis.kets
-    elif isinstance(basis, (list, tuple)) and basis and isinstance(basis[0], MeasurementModel):
-        rows = basis[0].kets
-        for part in basis[1:]:
-            rows = np.kron(rows, part.kets)
-    else:
-        rows = np.asarray(basis, dtype=complex)
-    if rows.shape != (dim, dim):
-        raise ValueError(f"basis dimension {rows.shape} does not match operator dimension {dim}")
-    return rows
+        return np.diag(mat)
+    if basis.dim != mat.shape[0]:
+        raise ValueError(f"basis dimension {basis.kets.shape} does not match operator dimension {mat.shape[0]}")
+    return np.einsum("mi,ij,mj->m", basis.kets.conj(), mat, basis.kets)
 
 
-def dephase(rho, basis=None) -> np.ndarray:
-    """Zero all coherences of ``rho`` in the given orthonormal basis.
-
-    ``basis`` may be None (computational basis), a :class:`MeasurementModel`,
-    or a sequence of models whose tensor product spans the space.
-    """
+def dephase(rho, basis: MeasurementModel | None = None) -> np.ndarray:
+    """Zero all coherences of ``rho`` in ``basis``: a :class:`MeasurementModel`,
+    or None for the computational basis."""
     mat = as_operator(rho, name="rho")
-    rows = _basis_rows(basis, mat.shape[0])
-    if rows is None:
-        return np.diag(np.diag(mat))
-    probs = np.einsum("mi,ij,mj->m", rows.conj(), mat, rows)
-    return np.einsum("m,mi,mj->ij", probs, rows, rows.conj())
+    probs = _populations(mat, basis)
+    if basis is None:
+        return np.diag(probs)
+    return np.einsum("m,mi,mj->ij", probs, basis.kets, basis.kets.conj())
 
 
-def relative_entropy_of_coherence(rho, basis=None) -> float:
+def relative_entropy_of_coherence(rho, basis: MeasurementModel | None = None) -> float:
     """Entropy gained by dephasing ``rho`` in the given basis, in bits.
 
     Equals S(dephased) - S(rho); zero exactly when dephasing leaves the state
-    unchanged.  ``basis`` follows the same convention as :func:`dephase`.
+    unchanged.  ``basis`` is a :class:`MeasurementModel`, or None for the
+    computational basis, as in :func:`dephase`.
     """
     mat = as_operator(rho, name="rho")
-    rows = _basis_rows(basis, mat.shape[0])
-    if rows is None:
-        probs = np.real(np.diag(mat))
-    else:
-        probs = np.real(np.einsum("mi,ij,mj->m", rows.conj(), mat, rows))
+    probs = np.real(_populations(mat, basis))
     value = shannon_entropy(np.clip(probs, 0.0, None)) - von_neumann_entropy(mat)
     return max(value, 0.0)
 
@@ -272,15 +254,17 @@ def assert_density(op, *, name: str = "state") -> np.ndarray:
     return mat
 
 
+def _unitarity_defect(mat: np.ndarray) -> float:
+    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
+
+
 def is_unitary(op) -> bool:
-    mat = as_operator(op, name="operator")
-    eye = np.eye(mat.shape[0])
-    return float(np.max(np.abs(mat.conj().T @ mat - eye))) <= UNITARY_TOL
+    return _unitarity_defect(as_operator(op, name="operator")) <= UNITARY_TOL
 
 
 def assert_unitary(op, *, name: str = "operator") -> np.ndarray:
     mat = as_operator(op, name=name)
-    defect = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
+    defect = _unitarity_defect(mat)
     if defect > UNITARY_TOL:
         raise NumericsError(f"{name} is not unitary: defect {defect:.3e}")
     return mat

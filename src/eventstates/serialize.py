@@ -172,8 +172,6 @@ def state_to_json(state: EventState) -> dict:
 def state_from_json(data: dict) -> EventState:
     """Rebuild a record state, revalidating every structural invariant."""
     kind = _require(data, "kind", "state")
-    if kind not in ("SL", "TL"):
-        raise ScenarioError(f"state: kind must be 'SL' or 'TL', got {kind!r}")
     rho = operator_from_json(data, name="state")
     basis_a = basis_from_json(_require(data, "record_basisA", "state"), name="record_basisA")
     basis_b = basis_from_json(_require(data, "record_basisB", "state"), name="record_basisB")

@@ -168,9 +168,9 @@ class BranchingSchedule:
         )
 
 
-def exponential_grid(gamma: float, dt: float, *, tail_mass: float = 1e-6, t0: float = 0.0) -> TimeGrid:
-    """Grid for an exponential-decay profile, sized so the untruncated tail
-    mass beyond the grid end is at most ``tail_mass``."""
+def exponential_grid(gamma: float, dt: float, *, tail_mass: float = 1e-6) -> TimeGrid:
+    """Grid from t0 = 0 for an exponential-decay profile, sized so the
+    untruncated tail mass beyond the grid end is at most ``tail_mass``."""
     if gamma <= 0.0:
         raise ValueError(f"decay rate must be positive, got {gamma}")
     if not (0.0 < tail_mass < 1.0):
@@ -179,7 +179,7 @@ def exponential_grid(gamma: float, dt: float, *, tail_mass: float = 1e-6, t0: fl
     steps = math.log(1.0 / tail_mass) / rate if rate != 0.0 else math.inf
     if not math.isfinite(steps):
         raise ValueError(f"gamma * dt = {rate:.3g} needs more bins than a float can count")
-    return TimeGrid(t0=t0, dt=dt, n_bins=max(2, math.ceil(steps)))
+    return TimeGrid(t0=0.0, dt=dt, n_bins=max(2, math.ceil(steps)))
 
 
 def exponential_tail_mass(gamma: float, grid: TimeGrid) -> float:

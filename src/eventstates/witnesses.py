@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .event_states import EventState
-from .policy import CHEBYSHEV_SLACK, COHERENCE_FLOOR_BITS, TIME_CORRELATION_FLOOR, ScenarioError
+from .policy import CHEBYSHEV_SLACK, COHERENCE_FLOOR_BITS, TIME_CORRELATION_FLOOR
 from .quantum_core import relative_entropy_of_coherence
 from .timing import JointTimeDistribution
 
@@ -54,11 +54,9 @@ def record_coherence(state: EventState) -> float:
     """Coherence (in bits) the record state carries in the record basis.
 
     Measured as the entropy gained by dephasing in the joint record basis.
-    Diagonal states score exactly zero.
+    Diagonal states score exactly zero; timer-register states raise.
     """
-    if state.timers is not None:
-        raise ScenarioError("trace out the timer registers first")
-    return relative_entropy_of_coherence(state.rho, basis=None)
+    return relative_entropy_of_coherence(state.detector_rho, basis=None)
 
 
 def coherence_witness(state: EventState) -> WitnessReport:

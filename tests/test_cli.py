@@ -861,3 +861,10 @@ def test_ordered_evolution_with_timing_exits_two(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
         assert err.startswith("error: timed ordered events evolve under the hamiltonian")
+
+
+def test_state_file_with_an_unknown_arrangement_exits_two(capsys, tmp_path):
+    state = tmp_path / "timed.state.json"
+    state.write_text(json.dumps(_mutant(_built_state(), ("kind",), "XX")))
+    for command in ("witness", "discriminate", "classical-corr"):
+        assert _run(capsys, command, str(state)) == (2, "", "error: kind must be 'SL' or 'TL', got 'XX'\n")

@@ -21,6 +21,8 @@ from eventstates import (
     build_timed_state,
     build_tl_fuzzy,
     build_tl_instant,
+    chsh_scenarios,
+    chsh_value,
     conditional_decomposition,
     delta_conditional,
     delta_profile,
@@ -809,3 +811,120 @@ def test_event_state_validates_density_and_dims():
         EventState(kind="TL", rho=np.diag([1.5, -0.5, 0.0, 0.0]), basis_a=sz, basis_b=sz)
     with pytest.raises(ScenarioError):
         EventState(kind="TL", rho=np.eye(2) / 2, basis_a=sz, basis_b=sz)
+
+
+def test_event_state_refuses_an_unknown_arrangement():
+    sz = MeasurementModel.sz()
+    with pytest.raises(ScenarioError, match="^kind must be 'SL' or 'TL', got 'XX'$"):
+        EventState(kind="XX", rho=np.eye(4) / 4, basis_a=sz, basis_b=sz)
+
+
+def test_each_state_space_is_read_only_by_its_own_readers():
+    rng = rng_for(35)
+    sharp = build_tl_instant(random_tl_scenario(rng))
+    assert sharp.detector_rho is sharp.rho
+    timed = build_timed_state(random_timed_tl_scenario(rng, n_bins=2))
+    with pytest.raises(ScenarioError, match="trace out the timer registers first"):
+        timed.detector_rho
+    for reader in (trace_out_timers, timer_distribution):
+        with pytest.raises(ScenarioError, match="state carries no timer registers"):
+            reader(sharp)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_swapping_the_factors_of_an_sl_build_transposes_its_probabilities(seed):
+    rng = rng_for(seed)
+    da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    scenario = random_sl_scenario(rng, da, db, mixed=bool(seed % 2))
+    # SWAP maps |a>|b> on A x B to |b>|a> on B x A.
+    swap = np.eye(da * db)[np.arange(da * db).reshape(da, db).T.ravel()]
+    initial = scenario.initial
+    initial = swap @ initial if initial.ndim == 1 else swap @ initial @ swap.T
+    swapped = EventScenario(kind="SL", initial=initial, basis_a=scenario.basis_b, basis_b=scenario.basis_a)
+    # Equal up to the order of the rounded sums, which the swap changes.
+    np.testing.assert_allclose(
+        outcome_probabilities(build_sl_instant(swapped)),
+        outcome_probabilities(build_sl_instant(scenario)).T,
+        rtol=0.0,
+        atol=1e-14,
+    )
+
+
+_GRID4 = TimeGrid(t0=0.0, dt=0.25, n_bins=4)
+_SZ = MeasurementModel.sz()
+
+
+def _mixed_dims_chsh_family():
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    qubits = build_sl_instant(chsh_scenarios(singlet, [0.0, 1.0], [0.5, 1.5])[0])
+    qutrit_b = EventState(kind="SL", rho=np.eye(6) / 6, basis_a=_SZ, basis_b=MeasurementModel.computational(3))
+    return [qubits, qubits, qubits, qutrit_b]
+
+
+# (callable, error class, message) for input checks of the library that no
+# other test reaches.
+_INPUT_ERRORS = {
+    "joint-table-shape": (
+        lambda: tm.JointTimeDistribution(grid=_GRID4, kind="SL", table=np.full((3, 3), 1.0 / 9.0)),
+        ValueError, "table needs shape",
+    ),
+    "joint-table-kind": (
+        lambda: tm.JointTimeDistribution(grid=_GRID4, kind="XX", table=np.full((4, 4), 1.0 / 16.0)),
+        ValueError, "kind must be 'SL' or 'TL'",
+    ),
+    "joint-amplitudes-without-grid": (
+        lambda: EventTiming(joint_amplitudes=np.ones((4, 4))), ScenarioError, "needs a grid",
+    ),
+    "joint-amplitudes-non-finite": (
+        lambda: EventTiming(joint_amplitudes=np.full((4, 4), np.nan), joint_grid=_GRID4),
+        ScenarioError, "non-finite",
+    ),
+    "joint-amplitudes-without-mass": (
+        lambda: EventTiming(joint_amplitudes=np.zeros((4, 4)), joint_grid=_GRID4),
+        NumericsError, "carries no mass",
+    ),
+    "profile-shape": (
+        lambda: TimingProfile(grid=_GRID4, kind="marginal", amplitudes=np.ones(3)), ValueError, "needs shape",
+    ),
+    "profile-non-finite": (
+        lambda: TimingProfile(grid=_GRID4, kind="marginal", amplitudes=np.array([2.0, 0.0, 0.0, np.nan])),
+        ValueError, "must be finite",
+    ),
+    "schedule-shape": (
+        lambda: tm.BranchingSchedule(grid=_GRID4, step_probs=np.zeros(3), step_phases=np.zeros(3)),
+        ValueError, "schedule arrays need shape",
+    ),
+    "schedule-certain-step": (
+        lambda: tm.BranchingSchedule(grid=_GRID4, step_probs=np.full(4, 1.0), step_phases=np.zeros(4)),
+        ValueError, r"must lie in \[0, 1\)",
+    ),
+    "schedule-non-finite-phase": (
+        lambda: tm.BranchingSchedule(grid=_GRID4, step_probs=np.full(4, 0.01), step_phases=np.full(4, np.nan)),
+        ValueError, "phases must be finite",
+    ),
+    "grid-decay-rate": (lambda: tm.exponential_grid(0.0, 0.1), ValueError, "decay rate must be positive"),
+    "grid-tail-mass": (
+        lambda: tm.exponential_grid(1.0, 0.1, tail_mass=1.0), ValueError, r"tail_mass must lie in \(0, 1\)",
+    ),
+    "negative-lag": (lambda: delta_conditional(_GRID4, -1), ValueError, "lag must be nonnegative"),
+    "sl-fuzzy-of-ordered": (
+        lambda: build_sl_fuzzy(random_timed_tl_scenario(rng_for(1))), ScenarioError, "independent events",
+    ),
+    "tl-fuzzy-of-independent": (
+        lambda: build_tl_fuzzy(random_timed_sl_scenario(rng_for(1))), ScenarioError, "ordered events",
+    ),
+    "chsh-mixed-dims": (lambda: chsh_value(_mixed_dims_chsh_family()), ScenarioError, "share record dimensions"),
+    "label-count": (
+        lambda: MeasurementModel.from_kets(np.eye(2), [1.0]), ValueError, "one label per basis ket",
+    ),
+    "timing-type": (
+        lambda: EventScenario(kind="TL", initial=np.array([1.0, 0.0]), basis_a=_SZ, basis_b=_SZ, timing="soon"),
+        ScenarioError, "timing must be an EventTiming",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, error, message", _INPUT_ERRORS.values(), ids=_INPUT_ERRORS.keys())
+def test_library_input_checks(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

@@ -1,5 +1,7 @@
 """Discrimination, correlation, and determinism checks against brute oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from eventstates import (
     EventScenario,
     MeasurementModel,
+    NumericsError,
     ScenarioError,
     build_sl_instant,
     build_tl_instant,
@@ -20,6 +23,7 @@ from eventstates import (
     partial_trace,
     predict_future_outcome,
     reconstruct_from_decomposition,
+    record_coherence,
     von_neumann_entropy,
 )
 from eventstates.quantum_core import PAULI_X, PAULI_Y, PAULI_Z, projector
@@ -482,3 +486,46 @@ def test_empty_outcome_among_several_is_left_out():
     np.testing.assert_allclose(det.gram[:3, :3], np.sqrt(np.clip(overlaps, 0.0, None)), atol=1e-12)
     worst = max(overlaps[i][j] for i in range(3) for j in range(3) if i != j)
     assert det.max_overlap == pytest.approx(worst, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "initial, evolution, error",
+    [
+        (ZERO, 2.0 * np.eye(2), "evolution is not unitary"),
+        (2.0 * ZERO, None, "initial state is not normalized"),
+    ],
+    ids=["non-unitary-evolution", "unnormalized-ket"],
+)
+def test_basis_search_checks_its_ket_and_evolution(initial, evolution, error):
+    with pytest.raises(NumericsError, match=error):
+        find_deterministic_basis(initial, evolution, MeasurementModel.sx())
+
+
+def test_reconstruction_refuses_a_wrong_first_record_dimension():
+    decomp = conditional_decomposition(build_tl_instant(random_tl_scenario(rng_for(4), 3)))
+    with pytest.raises(ScenarioError, match="3-dim first records, not 2"):
+        reconstruct_from_decomposition(decomp, 2)
+
+
+# Relabelling the second record (its kets and labels permuted together) names
+# the same measurement, so nothing read off the first record may move.
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("dim, perm", [(2, [1, 0]), (3, [1, 2, 0]), (3, [2, 1, 0])])
+def test_permuting_the_second_basis_changes_no_first_record_figure(dim, perm, mixed, seed):
+    rng = rng_for(seed)
+    scenario = random_tl_scenario(rng, dim, mixed=mixed)
+    candidates = None if dim == 2 else [MeasurementModel.computational(3), random_basis(rng, 3)]
+    basis_b = MeasurementModel(kets=scenario.basis_b.kets[perm], labels=scenario.basis_b.labels[perm])
+
+    def figures(state):
+        return [
+            record_coherence(state),
+            predict_future_outcome(state).success,
+            determinism_check(state).max_overlap,
+            classical_correlation(state, measurements=candidates).bits,
+        ]
+
+    before = figures(build_tl_instant(scenario))
+    after = figures(build_tl_instant(dataclasses.replace(scenario, basis_b=basis_b)))
+    assert after == pytest.approx(before, abs=1e-12)
