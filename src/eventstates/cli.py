@@ -38,6 +38,7 @@ from .serialize import (
     canonical_dumps,
     chsh_report_to_json,
     load_json_file,
+    save_state,
     state_from_json,
     state_to_json,
 )
@@ -65,8 +66,7 @@ def _load_any(path: str) -> tuple[EventState | None, ScenarioFile | None]:
     data = load_json_file(path)
     if "record_basisA" in data:
         return state_from_json(data), None
-    loaded = scenario_from_json(data, source=path)
-    return None, loaded
+    return None, scenario_from_json(data, source=path)
 
 
 def _detector_state(state: EventState | None, loaded: ScenarioFile | None) -> EventState:
@@ -111,18 +111,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_build(args) -> int:
     loaded = load_scenario(args.scenario)
-    if args.timed:
-        state = build_timed_state(loaded.scenario)
-    else:
-        state = build_event_state(loaded.scenario)
-    text = canonical_dumps(state_to_json(state))
+    state = (build_timed_state if args.timed else build_event_state)(loaded.scenario)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        save_state(args.out, state)
         print(f"wrote {args.out} ({state.rho.shape[0]}-dimensional, kind {state.kind})")
     elif args.json:
-        print(text)
+        print(canonical_dumps(state_to_json(state)))
     else:
         probs = np.real(np.diag(state.rho))
         print(f"kind = {state.kind}")
@@ -225,26 +219,22 @@ def _demo_scenario(name: str) -> ScenarioFile:
 
 def _demo_decay(args) -> tuple[dict, list[str]]:
     gamma, dt = args.gamma, args.dt
-    for flag, value in (("--gamma", gamma), ("--dt", dt)):
-        if not 0.0 < value < math.inf:
-            raise ScenarioError(f"{flag} must be a positive finite number, got {value:g}")
-    if gamma * dt >= 1.0:
-        raise ScenarioError(f"gamma * dt = {gamma * dt:.3g} >= 1; no per-bin probability exists")
-    # Both grids are sized and bounded before any array is made.  The
-    # covariance table steps at most 0.02 mean lifetimes (gamma * step <= 0.02).
+    # Both grids are sized and bounded before any array is made; exponential_grid
+    # refuses a rate or step that is not positive and finite.  The covariance
+    # table steps at most 0.02 mean lifetimes (gamma * step <= 0.02).
     try:
         grid = exponential_grid(gamma, dt)
         table_grid = exponential_grid(gamma, min(max(dt, 0.02), 0.02 / gamma))
     except ValueError as exc:
         raise ScenarioError(f"demo decay: {exc}") from None
-    if grid.n_bins > MAX_BRANCHING_BINS:
-        raise ScenarioError(
-            f"demo decay: the branching grid needs {grid.n_bins} bins; the bound is {MAX_BRANCHING_BINS}"
-        )
-    if table_grid.n_bins > MAX_GRID_BINS:
-        raise ScenarioError(
-            f"demo decay: the covariance table needs {table_grid.n_bins} bins; the bound is {MAX_GRID_BINS}"
-        )
+    if gamma * dt >= 1.0:
+        raise ScenarioError(f"gamma * dt = {gamma * dt:.3g} >= 1; no per-bin probability exists")
+    for what, bins, bound in (
+        ("branching grid", grid.n_bins, MAX_BRANCHING_BINS),
+        ("covariance table", table_grid.n_bins, MAX_GRID_BINS),
+    ):
+        if bins > bound:
+            raise ScenarioError(f"demo decay: the {what} needs {bins} bins; the bound is {bound}")
     schedule = BranchingSchedule.constant(grid, gamma * dt)
     profile = exponential_profile(gamma, grid)
     err = continuum_limit_check(schedule, profile)

@@ -45,7 +45,7 @@ from .quantum_core import (
     assert_density,
     assert_unitary,
 )
-from .timing import EventTiming, JointTimeDistribution, TimeGrid
+from .timing import EventTiming, JointTimeDistribution, TimeGrid, _check_arrangement
 
 __all__ = [
     "EventTiming",
@@ -76,6 +76,8 @@ def _assert_hermitian(mat: np.ndarray, *, name: str) -> np.ndarray:
         raise NumericsError(f"{name} is not Hermitian: defect {defect:.3e}")
     return mat
 
+
+_PAIRS = {"SL": "independent", "TL": "ordered"}
 
 # Operator fields of a scenario: the arrangements each applies to, the check
 # it must pass, and the space it acts on (the system, or factor A or B).
@@ -117,8 +119,7 @@ class EventScenario:
     timing: EventTiming | None = None
 
     def __post_init__(self):
-        if self.kind not in ("SL", "TL"):
-            raise ScenarioError(f"kind must be 'SL' or 'TL', got {self.kind!r}")
+        _check_arrangement(self.kind)
         initial = np.asarray(self.initial, dtype=complex)
         if initial.ndim == 1:
             initial = as_ket(initial, name="initial state")
@@ -144,8 +145,7 @@ class EventScenario:
             if op is None:
                 continue
             if self.kind not in kinds:
-                pairs = "ordered" if kinds == ("TL",) else "independent"
-                raise ScenarioError(f"{field} only applies to {pairs} event pairs")
+                raise ScenarioError(f"{field} only applies to {_PAIRS[kinds[0]]} event pairs")
             op = check(op, name=field)
             size, where = spaces[space]
             if op.shape[0] != size:
@@ -221,8 +221,7 @@ class EventState:
     timers: TimeGrid | None = None
 
     def __post_init__(self):
-        if self.kind not in ("SL", "TL"):
-            raise ScenarioError(f"kind must be 'SL' or 'TL', got {self.kind!r}")
+        _check_arrangement(self.kind)
         rho = assert_density(self.rho, name="event state")
         da, db = self.basis_a.dim, self.basis_b.dim
         expect = da * db
@@ -292,14 +291,19 @@ def _block_diagonal_in_b(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(da * db, da * db)
 
 
+def _require_kind(scenario: EventScenario, kind: str) -> None:
+    """Raise :class:`ScenarioError` unless ``scenario`` describes arrangement ``kind``."""
+    if scenario.kind != kind:
+        raise ScenarioError(f"scenario does not describe {_PAIRS[kind]} events")
+
+
 def build_sl_instant(scenario: EventScenario) -> EventState:
     """Record state for two independent measurements read out sharply.
 
     The result is diagonal in the joint record basis, with entries equal to
     the Born probabilities of the two outcomes.
     """
-    if scenario.kind != "SL":
-        raise ScenarioError("scenario does not describe independent events")
+    _require_kind(scenario, "SL")
     da, db = scenario.dims
     rho = scenario.initial_density().reshape(da, db, da, db)
     ka, kb = scenario.basis_a.kets, scenario.basis_b.kets
@@ -319,8 +323,7 @@ def build_tl_instant(scenario: EventScenario) -> EventState:
     The first record keeps the coherences of the system state in the first
     measured basis; the result is block diagonal in the second record index.
     """
-    if scenario.kind != "TL":
-        raise ScenarioError("scenario does not describe ordered events")
+    _require_kind(scenario, "TL")
     d = scenario.basis_a.dim
     rho_s = scenario.initial_density()
     u = scenario.evolution if scenario.evolution is not None else np.eye(d, dtype=complex)
@@ -367,8 +370,7 @@ def build_sl_fuzzy(scenario: EventScenario) -> EventState:
     the firing times are drawn from the two marginal profiles.  The result
     is diagonal in the joint record basis.
     """
-    if scenario.kind != "SL":
-        raise ScenarioError("scenario does not describe independent events")
+    _require_kind(scenario, "SL")
     timing = _require_timing(scenario)
     check_buildable(scenario)
     da, db = scenario.dims
@@ -400,8 +402,7 @@ def build_tl_fuzzy(scenario: EventScenario) -> EventState:
     marginal profile, the second the conditional rows.  Averaging can leave
     the per-outcome conditionals mixed.
     """
-    if scenario.kind != "TL":
-        raise ScenarioError("scenario does not describe ordered events")
+    _require_kind(scenario, "TL")
     timing = _require_timing(scenario)
     check_buildable(scenario)
     n = timing.grid.n_bins

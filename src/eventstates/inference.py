@@ -56,9 +56,6 @@ THETA_POINTS = 64
 PHI_POINTS = 128
 REFINE_MAXITER = 200
 REFINE_TOL = 1e-6
-# Largest conditional-record overlap at which a first basis counts as
-# making the second outcome certain.
-BASIS_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -214,7 +211,9 @@ def classical_correlation(
     """Classical correlation of the second record with the first, in bits.
 
     Maximizes S(rho_b) - sum_i p_i S(rho_b | i) over complete projective
-    measurements of the first record.  Qubit first records are searched over
+    measurements of the first record: a lower bound on Henderson-Vedral's
+    C_A, whose maximum over POVMs can exceed it once three or more second
+    outcomes carry mass.  Qubit first records are searched over
     the Bloch sphere (coarse grid plus a simplex refinement); larger records
     need ``measurements``, a list of candidate :class:`MeasurementModel` bases.
     """
@@ -242,20 +241,12 @@ def classical_correlation(
     def objective(x):
         return -float(_holevo_like(rho4, bloch_pair(x[0], x[1])[None], entropy_b)[0])
 
-    refined = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": REFINE_MAXITER, "xatol": REFINE_TOL, "fatol": REFINE_TOL},
-    )
+    options = {"maxiter": REFINE_MAXITER, "xatol": REFINE_TOL, "fatol": REFINE_TOL}
+    refined = minimize(objective, x0, method="Nelder-Mead", options=options)
     if -float(refined.fun) > best_value:
-        return CorrelationReport(
-            bits=-float(refined.fun),
-            basis=MeasurementModel.from_axis_angle(float(refined.x[0]), float(refined.x[1])),
-        )
+        best_value, x0 = -float(refined.fun), refined.x
     return CorrelationReport(
-        bits=best_value,
-        basis=MeasurementModel.from_axis_angle(float(x0[0]), float(x0[1])),
+        bits=best_value, basis=MeasurementModel.from_axis_angle(float(x0[0]), float(x0[1]))
     )
 
 
@@ -303,24 +294,6 @@ class BasisSearchResult:
     phi: float
 
 
-def _orthogonality_residual(
-    kets: np.ndarray, psi0: np.ndarray, u: np.ndarray, basis_b: MeasurementModel, floor: float
-) -> np.ndarray:
-    """Normalized overlap of the two conditional records per candidate basis.
-
-    ``kets[n, a]`` are candidate first-basis kets.  Returns zero where one
-    outcome has (almost) no mass, since prediction is then trivial.
-    """
-    coeff = np.einsum("nai,i->na", kets.conj(), psi0)
-    hops = np.einsum("bi,ij,naj->nba", basis_b.kets.conj(), u, kets)
-    branch = hops * coeff[:, None, :]
-    probs = np.sum(np.abs(branch) ** 2, axis=2)
-    cross = np.abs(np.einsum("na,na->n", branch[:, 0].conj(), branch[:, 1]))
-    tiny = np.any(probs < floor, axis=1)
-    denom = np.sqrt(np.clip(probs[:, 0] * probs[:, 1], 1e-300, None))
-    return np.where(tiny, 0.0, cross / denom)
-
-
 def find_deterministic_basis(
     initial: np.ndarray,
     evolution: np.ndarray | None,
@@ -333,10 +306,15 @@ def find_deterministic_basis(
     ket and m depends only on the evolution and the second basis; so every
     axis perpendicular to r works.  Of those, the axis with the
     smallest polar angle is returned; when r lies along +-z every axis on the
-    equator qualifies and the smallest azimuth, (pi/2, 0), is taken.  The
-    residual overlap is computed for that axis, and ``found`` certifies it
-    is at most ``BASIS_RESIDUAL_TOL``.  The initial state must be a unit ket
-    and ``evolution`` (None for none) unitary.
+    equator qualifies and the smallest azimuth, (pi/2, 0), is taken.
+
+    For that axis, with G = H diag|<a|psi>|^2 H^dagger the Gram matrix of the
+    unnormalized conditionals (H[b, a] = <b|U|a>), the residual is
+    |G_01| / sqrt(G_00 G_11), or 0 when an outcome carries less than
+    ``EMPTY_BLOCK_FLOOR``.  Its square is the Tr(sigma_0 sigma_1) that
+    :func:`determinism_check` bounds, and ``found`` holds when it is below
+    ``DETERMINISM_TOL``.  The initial state must be a unit ket and
+    ``evolution`` (None for none) unitary.
     """
     psi0 = np.asarray(initial, dtype=complex)
     if psi0.ndim != 1:
@@ -355,9 +333,11 @@ def find_deterministic_basis(
     theta = math.atan2(abs(rz), r_xy)
     phi = 0.0 if r_xy == 0.0 or rz == 0.0 else math.atan2(-rz * ry, -rz * rx) % (2.0 * math.pi)
 
-    residual = float(
-        _orthogonality_residual(bloch_pair(theta, phi)[None], psi0, u, basis_b, EMPTY_BLOCK_FLOOR)[0]
-    )
-    found = residual <= BASIS_RESIDUAL_TOL
+    kets = bloch_pair(theta, phi)
+    hops = basis_b.kets.conj() @ u @ kets.T
+    gram = (hops * np.abs(kets.conj() @ psi0) ** 2) @ hops.conj().T
+    g00, g11 = gram[0, 0].real, gram[1, 1].real
+    residual = 0.0 if min(g00, g11) < EMPTY_BLOCK_FLOOR else float(abs(gram[0, 1]) / math.sqrt(g00 * g11))
+    found = residual**2 < DETERMINISM_TOL
     basis = MeasurementModel.from_axis_angle(theta, phi) if found else None
     return BasisSearchResult(found=found, basis=basis, residual=residual, theta=theta, phi=phi)

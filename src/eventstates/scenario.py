@@ -25,7 +25,10 @@ from .event_states import EventScenario
 from .policy import MAX_GRID_BINS, ScenarioError
 from .quantum_core import PAULI_X, PAULI_Y, PAULI_Z, MeasurementModel
 from .serialize import (
+    _integer,
+    _number,
     _parts_to_array,
+    _time_grid,
     basis_from_json,
     load_json_file,
     operator_from_json,
@@ -89,21 +92,6 @@ class ScenarioFile:
     source: str
 
 
-def _finite(value, field: str, key: str) -> float:
-    """``float(value)``, refusing the NaN and infinities that JSON parsing lets through."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise ScenarioError(f"{field}: {key} must be a finite number, got {x}")
-    return x
-
-
-def _bin_count(value, field: str, key: str) -> int:
-    """``int(value)``, refusing counts beyond ``MAX_GRID_BINS``."""
-    if value > MAX_GRID_BINS:
-        raise ScenarioError(f"{field}: {key} must be at most {MAX_GRID_BINS}, got {value}")
-    return int(value)
-
-
 def _rotation_unitary(axis: str, angle: float) -> np.ndarray:
     sigma = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}[axis]
     return np.cos(angle / 2.0) * np.eye(2, dtype=complex) - 1j * np.sin(angle / 2.0) * sigma
@@ -111,7 +99,7 @@ def _rotation_unitary(axis: str, angle: float) -> np.ndarray:
 
 def _parse_unitary(data: dict, name: str) -> np.ndarray:
     if "axis" in data:
-        return _rotation_unitary(data["axis"], _finite(data["angle"], name, "angle"))
+        return _rotation_unitary(data["axis"], _number(data["angle"], name, "angle"))
     return operator_from_json(data, name=name)
 
 
@@ -127,8 +115,8 @@ def _parse_basis(data, name: str) -> MeasurementModel:
         return _NAMED_BASES[data]()
     if "theta" in data:
         labels = data.get("labels", (1.0, -1.0))
-        theta = _finite(data["theta"], name, "theta")
-        phi = _finite(data.get("phi", 0.0), name, "phi")
+        theta = _number(data["theta"], name, "theta")
+        phi = _number(data.get("phi", 0.0), name, "phi")
         try:
             return MeasurementModel.from_axis_angle(theta, phi, labels=labels)
         except ValueError as exc:
@@ -156,9 +144,9 @@ def _parse_profile(data: dict, grid: TimeGrid, name: str) -> TimingProfile:
         if "gamma" not in data:
             raise ScenarioError(f"{name}: an exponential profile needs 'gamma'")
         maker = exponential_conditional if conditional else exponential_profile
-        return maker(_finite(data["gamma"], name, "gamma"), grid)
+        return maker(_number(data["gamma"], name, "gamma"), grid)
     if conditional:
-        return delta_conditional(grid, _bin_count(data.get("lag_bins", 0), name, "lag_bins"))
+        return delta_conditional(grid, _integer(data.get("lag_bins", 0), name, "lag_bins", most=MAX_GRID_BINS))
     try:
         return delta_profile(grid, int(data.get("bin", 0)))
     except ValueError as exc:
@@ -166,14 +154,7 @@ def _parse_profile(data: dict, grid: TimeGrid, name: str) -> TimingProfile:
 
 
 def _parse_timing(data: dict) -> EventTiming:
-    spec = data["grid"]
-    n_bins = _bin_count(spec["n_bins"], "timing.grid", "n_bins")
-    t0 = _finite(spec.get("t0", 0.0), "timing.grid", "t0")
-    dt = _finite(spec["dt"], "timing.grid", "dt")
-    try:
-        grid = TimeGrid(t0=t0, dt=dt, n_bins=n_bins)
-    except ValueError as exc:
-        raise ScenarioError(f"timing.grid: {exc}") from exc
+    grid = _time_grid(data["grid"], "timing.grid")
     if "joint" in data:
         return EventTiming(
             joint_amplitudes=_parts_to_array(data["joint"], "timing.joint"), joint_grid=grid
@@ -227,7 +208,7 @@ def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
             raise ScenarioError(f"{source}: CHSH settings only apply to independent pairs")
         block = data["chsh"]
         chsh_angles = tuple(
-            tuple(math.radians(_finite(x, "chsh", key)) for x in block[key])
+            tuple(math.radians(_number(x, "chsh", key)) for x in block[key])
             for key in ("anglesA", "anglesB")
         )
     return ScenarioFile(scenario=scenario, chsh_angles=chsh_angles, source=source)

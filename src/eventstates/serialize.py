@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .event_states import EventState
-from .policy import ScenarioError
+from .policy import MAX_GRID_BINS, ScenarioError
 from .quantum_core import MeasurementModel
 from .timing import TimeGrid, TimingProfile
 
@@ -53,23 +53,36 @@ def _require(data: dict, key: str, context: str) -> Any:
     return data[key]
 
 
-def _number(data: dict, key: str, context: str) -> float:
-    """``data[key]`` as a float; anything but a JSON number raises ScenarioError."""
-    value = _require(data, key, context)
+def _number(value: Any, context: str, key: str) -> float:
+    """``value`` as a float; anything but a finite JSON number raises ScenarioError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ScenarioError(f"{context}: {key} must be a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"{context}: {key} must be finite")
     return float(value)
 
 
-def _integer(data: dict, key: str, context: str) -> int:
-    """``data[key]`` as an int; only an integral JSON number (4 or 4.0) passes."""
-    value = _require(data, key, context)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+def _integer(value: Any, context: str, key: str, *, most: int | None = None) -> int:
+    """``value`` as an int; only an integral JSON number (4 or 4.0), at most ``most`` if given, passes."""
+    integral = isinstance(value, float) and value.is_integer() or isinstance(value, numbers.Integral)
+    if isinstance(value, bool) or not integral:
         shown = repr(value) if isinstance(value, float) else type(value).__name__
         raise ScenarioError(f"{context}: {key} must be an integer, got {shown}")
+    if most is not None and value > most:
+        raise ScenarioError(f"{context}: {key} must be at most {most}, got {value}")
     return int(value)
+
+
+def _time_grid(spec: dict, context: str, n_bins: int | None = None) -> TimeGrid:
+    """The grid of ``spec``: ``t0`` (0 when absent), ``dt``, and the bin count ``n_bins`` unless given."""
+    dt = _number(_require(spec, "dt", context), context, "dt")
+    t0 = _number(spec.get("t0", 0.0), context, "t0")
+    if n_bins is None:
+        n_bins = _integer(_require(spec, "n_bins", context), context, "n_bins", most=MAX_GRID_BINS)
+    try:
+        return TimeGrid(t0=t0, dt=dt, n_bins=n_bins)
+    except ValueError as exc:
+        raise ScenarioError(f"{context}: {exc}") from exc
 
 
 def _float_array(value: Any, error: str) -> np.ndarray:
@@ -109,7 +122,7 @@ def operator_to_json(op: np.ndarray) -> dict:
 
 def operator_from_json(data: dict, *, name: str = "operator") -> np.ndarray:
     mat = _parts_to_array(data, name)
-    dim = _integer(data, "dim", name)
+    dim = _integer(_require(data, "dim", name), name, "dim")
     if mat.shape != (dim, dim):
         raise ScenarioError(f"{name}: declared dim {dim} does not match shape {mat.shape}")
     return mat
@@ -146,9 +159,10 @@ def profile_to_json(profile: TimingProfile) -> dict:
 def profile_from_json(data: dict, *, name: str = "profile") -> TimingProfile:
     amps = _parts_to_array(data, name)
     kind = _require(data, "kind", name)
-    t0, dt = _number(data, "t0", name), _number(data, "dt", name)
+    if amps.ndim == 0:
+        raise ScenarioError(f"{name}: re/im must be arrays, not single numbers")
+    grid = _time_grid(data, name, n_bins=len(amps))
     try:
-        grid = TimeGrid(t0=t0, dt=dt, n_bins=amps.shape[0])
         return TimingProfile(grid=grid, kind=kind, amplitudes=amps)
     except ValueError as exc:
         raise ScenarioError(f"{name}: {exc}") from exc
@@ -161,11 +175,8 @@ def state_to_json(state: EventState) -> dict:
     out["record_basisA"] = basis_to_json(state.basis_a)
     out["record_basisB"] = basis_to_json(state.basis_b)
     if state.timers is not None:
-        out["timers"] = {
-            "t0": float(state.timers.t0),
-            "dt": float(state.timers.dt),
-            "n_bins": int(state.timers.n_bins),
-        }
+        grid = state.timers
+        out["timers"] = {"t0": float(grid.t0), "dt": float(grid.dt), "n_bins": int(grid.n_bins)}
     return out
 
 
@@ -175,15 +186,7 @@ def state_from_json(data: dict) -> EventState:
     rho = operator_from_json(data, name="state")
     basis_a = basis_from_json(_require(data, "record_basisA", "state"), name="record_basisA")
     basis_b = basis_from_json(_require(data, "record_basisB", "state"), name="record_basisB")
-    timers = None
-    if "timers" in data:
-        spec = data["timers"]
-        t0, dt = _number(spec, "t0", "timers"), _number(spec, "dt", "timers")
-        n_bins = _integer(spec, "n_bins", "timers")
-        try:
-            timers = TimeGrid(t0=t0, dt=dt, n_bins=n_bins)
-        except (OverflowError, ValueError) as exc:
-            raise ScenarioError(f"timers: {exc}") from exc
+    timers = _time_grid(data["timers"], "timers") if "timers" in data else None
     return EventState(kind=kind, rho=rho, basis_a=basis_a, basis_b=basis_b, timers=timers)
 
 

@@ -46,6 +46,12 @@ MARGINAL = "marginal"
 CONDITIONAL = "conditional"
 
 
+def _check_arrangement(kind: str) -> None:
+    """Raise :class:`ScenarioError` unless ``kind`` names a causal arrangement, "SL" or "TL"."""
+    if kind not in ("SL", "TL"):
+        raise ScenarioError(f"kind must be 'SL' or 'TL', got {kind!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid of n_bins points t_k = t0 + k * dt."""
@@ -168,11 +174,16 @@ class BranchingSchedule:
         )
 
 
+def _check_positive(value: float, name: str) -> None:
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def exponential_grid(gamma: float, dt: float, *, tail_mass: float = 1e-6) -> TimeGrid:
     """Grid from t0 = 0 for an exponential-decay profile, sized so the
     untruncated tail mass beyond the grid end is at most ``tail_mass``."""
-    if gamma <= 0.0:
-        raise ValueError(f"decay rate must be positive, got {gamma}")
+    _check_positive(gamma, "decay rate")
+    _check_positive(dt, "dt")
     if not (0.0 < tail_mass < 1.0):
         raise ValueError("tail_mass must lie in (0, 1)")
     rate = gamma * dt
@@ -189,8 +200,7 @@ def exponential_tail_mass(gamma: float, grid: TimeGrid) -> float:
 
 def _decay(gamma: float, grid: TimeGrid) -> np.ndarray:
     """sqrt(gamma) exp(-gamma tau / 2) at the elapsed times tau = dt * k of the grid."""
-    if not (0.0 < gamma < math.inf):
-        raise ValueError(f"decay rate must be positive and finite, got {gamma}")
+    _check_positive(gamma, "decay rate")
     if gamma * grid.dt > 0.1:
         warnings.warn(
             f"gamma * dt = {gamma * grid.dt:.3g} > 0.1; grid is coarse for this decay rate",
@@ -314,8 +324,7 @@ class JointTimeDistribution:
         total = float(table.sum())
         if abs(total - 1.0) > PROFILE_NORM_TOL:
             raise NumericsError(f"joint time table not normalized: total {total:.8f}")
-        if self.kind not in ("SL", "TL"):
-            raise ValueError(f"kind must be 'SL' or 'TL', got {self.kind!r}")
+        _check_arrangement(self.kind)
         if self.kind == "TL" and np.any(table, where=np.tri(n, k=-1, dtype=bool)):
             raise NumericsError("ordered table must be exactly zero below the diagonal")
         object.__setattr__(self, "table", _readonly(table))
@@ -436,8 +445,7 @@ def joint_time_distribution(
     ``kind="SL"`` takes two independent marginals; ``kind="TL"`` takes the
     first detector's marginal and the second's conditional rows.
     """
-    if kind not in ("SL", "TL"):
-        raise ValueError(f"kind must be 'SL' or 'TL', got {kind!r}")
+    _check_arrangement(kind)
     timing = EventTiming(profile_a, profile_b)
     timing.require_kind(kind)
     return JointTimeDistribution(grid=timing.grid, kind=kind, table=timing.cell_masses())

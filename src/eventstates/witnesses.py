@@ -71,17 +71,24 @@ def coherence_witness(state: EventState) -> WitnessReport:
     return WitnessReport(witness="record-coherence", value=value, verdict=verdict)
 
 
+def _conditional_offsets(dist: JointTimeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The first-firing bins with mass, and the mean elapsed second firing time ``dt * l`` given each."""
+    pa = dist.marginal_a()
+    support = pa > 0.0
+    return support, (dist.table[support] @ dist.grid.offsets) / pa[support]
+
+
 def conditional_mean_arrival(dist: JointTimeDistribution) -> np.ndarray:
     """Mean second firing time conditioned on each first-firing bin.
 
     Every trigger bin must carry mass; restrict the table to its support
     before calling.
     """
-    pa = dist.marginal_a()
-    if np.any(pa <= 0.0):
-        empty = int(np.flatnonzero(pa <= 0.0)[0])
+    support, means = _conditional_offsets(dist)
+    if not np.all(support):
+        empty = np.argmin(support)
         raise ValueError(f"trigger bin {empty} carries no mass; restrict the table to its support")
-    return dist.grid.t0 + (dist.table @ dist.grid.offsets) / pa
+    return dist.grid.t0 + means
 
 
 def time_correlation(dist: JointTimeDistribution) -> float:
@@ -133,9 +140,7 @@ def chebyshev_check(dist: JointTimeDistribution) -> ChebyshevCheck:
     conditional mean is not monotone (no constraint applies) or the
     covariance is above ``-CHEBYSHEV_SLACK``.
     """
-    pa = dist.marginal_a()
-    support = pa > 0.0
-    means = (dist.table[support] @ dist.grid.offsets) / pa[support]
+    means = _conditional_offsets(dist)[1]
     span = dist.grid.dt * (dist.grid.n_bins - 1)
     monotone = bool(means.size < 2 or np.all(np.diff(means) >= -CHEBYSHEV_SLACK * max(span, 1.0)))
     cov = time_correlation(dist)

@@ -868,3 +868,50 @@ def test_state_file_with_an_unknown_arrangement_exits_two(capsys, tmp_path):
     state.write_text(json.dumps(_mutant(_built_state(), ("kind",), "XX")))
     for command in ("witness", "discriminate", "classical-corr"):
         assert _run(capsys, command, str(state)) == (2, "", "error: kind must be 'SL' or 'TL', got 'XX'\n")
+
+
+def test_scenario_and_state_files_read_numbers_alike(capsys, tmp_path):
+    # one set of readers serves both file kinds: a t0 of 10**400 reads as an
+    # infinity, and both refuse it with the same words
+    scenario = tmp_path / "far.json"
+    scenario.write_text(json.dumps(_timed_tl(grid={"t0": 10**400})))
+    state = tmp_path / "far.state.json"
+    state.write_text(json.dumps(_mutant(_built_state("--timed"), ("timers", "t0"), 10**400)))
+    for command, path, context in (("validate", scenario, "timing.grid"), ("witness", state, "timers")):
+        assert _run(capsys, command, str(path)) == (2, "", f"error: {context}: t0 must be finite\n")
+
+
+def test_state_file_timers_may_omit_t0(capsys, tmp_path):
+    # as in a scenario grid, an absent t0 reads as 0
+    doc = _built_state("--timed")
+    assert doc["timers"]["t0"] == 0.0
+    full, bare = tmp_path / "full.state.json", tmp_path / "bare.state.json"
+    full.write_text(json.dumps(doc))
+    bare.write_text(json.dumps(_mutant(doc, ("timers", "t0"), _DELETE)))
+    expected = _run(capsys, "witness", str(full), "--json")
+    assert expected[0] == 0
+    assert _run(capsys, "witness", str(bare), "--json") == expected
+
+
+def test_raw_profile_of_single_numbers_exits_two(capsys, tmp_path):
+    profile = {"t0": 0.0, "dt": 0.5, "kind": "marginal", "re": 1.0, "im": 0.0}
+    timing = {"grid": _GRID4, "profileA": profile, "profileB": {"type": "delta", "conditional": True}}
+    path = tmp_path / "scalar_profile.json"
+    path.write_text(json.dumps(dict(_PLAIN_TL, hamiltonian=_ZERO_H, timing=timing)))
+    error = "error: timing.profileA: re/im must be arrays, not single numbers\n"
+    assert _run(capsys, "validate", str(path)) == (2, "", error)
+
+
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--gamma", "nan"], "decay rate must be positive and finite, got nan"),
+        (["--gamma", "inf"], "decay rate must be positive and finite, got inf"),
+        (["--gamma", "-1"], "decay rate must be positive and finite, got -1.0"),
+        (["--dt", "nan"], "dt must be positive and finite, got nan"),
+        (["--dt", "-0.5"], "dt must be positive and finite, got -0.5"),
+    ],
+    ids=["nan-gamma", "infinite-gamma", "negative-gamma", "nan-dt", "negative-dt"],
+)
+def test_demo_decay_states_the_decay_rate_rule_of_exponential_grid(capsys, flags, error):
+    assert _run(capsys, "demo", "decay", *flags) == (2, "", f"error: demo decay: {error}\n")

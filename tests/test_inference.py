@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eventstates import (
     EventScenario,
+    EventState,
     MeasurementModel,
     NumericsError,
     ScenarioError,
@@ -529,3 +530,26 @@ def test_permuting_the_second_basis_changes_no_first_record_figure(dim, perm, mi
     before = figures(build_tl_instant(scenario))
     after = figures(build_tl_instant(dataclasses.replace(scenario, basis_b=basis_b)))
     assert after == pytest.approx(before, abs=1e-12)
+
+
+def test_classical_correlation_is_the_projective_optimum_not_the_povm_one():
+    # Three equally likely trine conditionals of a qubit first record.  The
+    # best projective readout gains 0.459148 bit about the second record; the
+    # anti-trine POVM, elements (2/3)|t_k-perp><t_k-perp|, gains log2(3) - 1.
+    trine = np.array([[np.cos(k * np.pi / 3), np.sin(k * np.pi / 3)] for k in range(3)])
+    rho = sum(np.kron(projector(t), np.diag(np.eye(3)[b])) for b, t in enumerate(trine)) / 3.0
+    state = EventState(kind="TL", rho=rho, basis_a=MeasurementModel.sz(), basis_b=MeasurementModel.computational(3))
+    bits = classical_correlation(state).bits
+    assert bits == pytest.approx(0.459148, abs=1e-6)
+
+    perp = np.stack([trine[:, 1], -trine[:, 0]], axis=1)
+    povm = [2.0 / 3.0 * projector(k) for k in perp]
+    assert sum(povm) == pytest.approx(np.eye(2), abs=1e-12)
+    joint = np.array([[np.real(np.trace(e @ projector(t))) / 3.0 for e in povm] for t in trine])  # p(b, k)
+    mutual = sum(
+        p * np.log2(p / (joint.sum(axis=1)[b] * joint.sum(axis=0)[k]))
+        for (b, k), p in np.ndenumerate(joint)
+        if p > 0.0
+    )
+    assert mutual == pytest.approx(np.log2(3.0) - 1.0, abs=1e-12)
+    assert bits < mutual - 0.1

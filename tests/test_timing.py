@@ -255,3 +255,19 @@ def test_joint_table_validation():
     lower[2, 0] = 1.0
     with pytest.raises(NumericsError):
         JointTimeDistribution(grid=grid, kind="TL", table=lower)
+
+
+@pytest.mark.parametrize(
+    "gamma, dt, error",
+    [
+        (np.inf, 0.01, "decay rate must be positive and finite, got inf"),
+        (np.nan, 0.01, "decay rate must be positive and finite, got nan"),
+        (1.0, np.nan, "dt must be positive and finite, got nan"),
+        (1.0, np.inf, "dt must be positive and finite, got inf"),
+    ],
+    ids=["infinite-rate", "nan-rate", "nan-step", "infinite-step"],
+)
+def test_exponential_grid_refuses_rates_and_steps_that_are_not_positive_and_finite(gamma, dt, error):
+    # an infinite rate used to give a two-bin grid, a NaN one a message about bin counts
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        exponential_grid(gamma, dt)
