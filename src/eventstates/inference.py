@@ -71,6 +71,12 @@ class HelstromResult:
     projector: np.ndarray
 
 
+def _check_priors(p1: float, p2: float) -> None:
+    """Two-hypothesis priors are nonnegative and sum to 1; NaN fails, as it fails every comparison."""
+    if not (p1 >= 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) <= PRIOR_SUM_TOL):
+        raise ValueError(f"priors must be nonnegative and sum to 1, got {p1} and {p2}")
+
+
 def helstrom_success(
     p1: float, rho1: np.ndarray, p2: float, rho2: np.ndarray
 ) -> HelstromResult:
@@ -79,8 +85,7 @@ def helstrom_success(
     Equals (1 + tracenorm(p1 rho1 - p2 rho2)) / 2, attained by measuring the
     sign of the weighted difference.  Priors must sum to 1.
     """
-    if p1 < 0.0 or p2 < 0.0 or abs(p1 + p2 - 1.0) > PRIOR_SUM_TOL:
-        raise ValueError(f"priors must be nonnegative and sum to 1, got {p1} and {p2}")
+    _check_priors(p1, p2)
     gap = p1 * np.asarray(rho1, dtype=complex) - p2 * np.asarray(rho2, dtype=complex)
     success, vals, vecs = _helstrom_spectrum(gap, vectors=True)
     pos = vecs[:, vals > 0.0]
@@ -103,7 +108,11 @@ def _helstrom_spectrum(gaps: np.ndarray, *, vectors: bool = False):
 
 
 def helstrom_pure(p1: float, ket1: np.ndarray, p2: float, ket2: np.ndarray) -> float:
-    """Closed form of the two-state success probability for pure hypotheses."""
+    """Closed form of the two-state success probability for pure hypotheses.
+
+    Priors must sum to 1, as for :func:`helstrom_success`.
+    """
+    _check_priors(p1, p2)
     overlap = abs(np.vdot(np.asarray(ket1, dtype=complex), np.asarray(ket2, dtype=complex))) ** 2
     radicand = max(1.0 - 4.0 * p1 * p2 * overlap, 0.0)
     return 0.5 * (1.0 + np.sqrt(radicand))

@@ -61,24 +61,44 @@ def schema() -> dict:
 
 @functools.cache
 def _validator_class() -> type:
-    """Draft 07 with one scan for each array of plain numbers.
+    """Draft 07 with local references looked up by name and plain number arrays scanned once.
 
-    An array whose items must be numbers and whose elements are all exactly
-    ``float`` or ``int`` passes in one pass over their types; any other array
-    (``bool`` and numpy scalars included) goes through draft 07's own
-    ``items``, so every error reads as it does there.  Its ``check_schema``
-    does nothing: the one schema it is given, :func:`schema`, is meta-checked
-    there.
+    Every ``$ref`` in :func:`schema` reads ``#/definitions/<name>``, so a
+    subschema that is only a reference is entered at that definition
+    directly.  Items that must be numbers pass in one scan of their types
+    when all are exactly ``float`` or ``int``, and matrix rows that must be
+    ``#/definitions/vector`` when all are non-empty lists of such numbers.
+    Any other array (empty rows, ``bool`` and numpy scalars included) goes
+    through draft 07's own ``items``, so every verdict and error reads as it
+    does there.  Its ``check_schema`` does nothing: the one schema it is
+    given, :func:`schema`, is meta-checked there.
     """
     items = jsonschema.Draft7Validator.VALIDATORS["items"]
+    definitions = schema()["definitions"]
+
+    def plain(array) -> bool:
+        return type(array) is list and set(map(type, array)) <= {float, int}
 
     def number_items(validator, item_schema, instance, schema):
-        if item_schema == {"type": "number"} and type(instance) is list:
-            if set(map(type, instance)) <= {float, int}:
+        if item_schema == {"type": "number"} and plain(instance):
+            return
+        if item_schema == {"$ref": "#/definitions/vector"} and type(instance) is list:
+            if all(plain(row) and row for row in instance):
                 return
         yield from items(validator, item_schema, instance, schema)
 
-    cls = jsonschema.validators.extend(jsonschema.Draft7Validator, {"items": number_items})
+    def ref(validator, ref, instance, schema):
+        return validator.descend(instance, schema)  # descend_past_ref enters the definition
+
+    cls = jsonschema.validators.extend(jsonschema.Draft7Validator, {"items": number_items, "$ref": ref})
+    descend = cls.descend
+
+    def descend_past_ref(validator, instance, schema, **kwargs):
+        if type(schema) is dict and "$ref" in schema:
+            schema = definitions[schema["$ref"].removeprefix("#/definitions/")]
+        return descend(validator, instance, schema, **kwargs)
+
+    cls.descend = descend_past_ref
     cls.check_schema = classmethod(lambda cls, schema, format_checker=None: None)
     return cls
 
@@ -169,8 +189,9 @@ def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
 
     ``data`` is checked first by one ``jsonschema.validate`` call against
     the packaged draft-07 schema itself, with no reference registry; the
-    schema is meta-checked once per process, not once per call, and each
-    array of plain numbers is checked in one scan.
+    schema is meta-checked once per process, not once per call, each local
+    ``$ref`` is looked up in ``definitions`` by name, and each array or
+    matrix of plain numbers is checked in one scan.
     """
     try:
         jsonschema.validate(data, schema(), cls=_validator_class())

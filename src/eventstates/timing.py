@@ -322,7 +322,7 @@ class JointTimeDistribution:
         if np.any(table < 0.0):
             raise NumericsError("joint time table has negative mass")
         total = float(table.sum())
-        if abs(total - 1.0) > PROFILE_NORM_TOL:
+        if not abs(total - 1.0) <= PROFILE_NORM_TOL:  # a NaN total fails too
             raise NumericsError(f"joint time table not normalized: total {total:.8f}")
         _check_arrangement(self.kind)
         if self.kind == "TL" and np.any(table, where=np.tri(n, k=-1, dtype=bool)):

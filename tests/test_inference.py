@@ -110,6 +110,19 @@ def test_rejects_unnormalized_priors():
         helstrom_success(-0.2, projector(ZERO), 1.2, projector(PLUS))
 
 
+@pytest.mark.parametrize(
+    "p1, p2",
+    [(np.nan, np.nan), (0.5, np.nan), (np.nan, 0.5), (-0.2, 1.2), (0.6, 0.6), (np.inf, -np.inf)],
+    ids=["both-nan", "second-nan", "first-nan", "negative", "not-summing", "infinite"],
+)
+def test_both_helstrom_forms_refuse_bad_priors(p1, p2):
+    # a NaN prior fails every comparison, so each guard must be written to fail on it
+    with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
+        helstrom_success(p1, projector(ZERO), p2, projector(PLUS))
+    with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
+        helstrom_pure(p1, ZERO, p2, PLUS)
+
+
 def _deterministic_scenario() -> EventScenario:
     # |+x> prepared, z record taken, quarter turn about x, y record taken:
     # the y outcome is a function of the z record

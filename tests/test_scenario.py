@@ -29,6 +29,19 @@ _TIMED_TL = {
     },
 }
 
+_IDENTITY = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+_EXPLICIT_TL = {
+    "kind": "TL",
+    "initial": {"ket": {"re": [0.6, 0.8], "im": [0.0, 0.0]}},
+    "basisA": dict(_IDENTITY, labels=[1.0, -1.0]),
+    "basisB": "Sx",
+    "evolution": _IDENTITY,
+}
+_JOINT_TIMING = {
+    "grid": {"dt": 0.5, "n_bins": 2},
+    "joint": {"re": [[0.5, 0.5], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+}
+
 
 def test_packaged_schema_is_valid_draft7():
     jsonschema.Draft7Validator.check_schema(schema())
@@ -102,6 +115,13 @@ def _without(doc, key):
         _set(_bundled("bell_sl.json"), ("initial", "ket", "re", 1), True),
         _set(_bundled("bell_sl.json"), ("initial", "ket", "re"), []),
         _set(_TIMED_TL, ("hamiltonian", "re", 0), None),
+        _set(_EXPLICIT_TL, ("basisA", "re", 1), []),
+        _set(_TIMED_TL, ("hamiltonian", "im", 0, 1), True),
+        _set(_TIMED_TL, ("timing",), _set(_JOINT_TIMING, ("joint", "re", 1, 0), "x")),
+        _set(_TIMED_TL, ("hamiltonian", "re", 1), 0.0),
+        _set(_EXPLICIT_TL, ("evolution", "re", 0), None),
+        _set(_EXPLICIT_TL, ("basisA", "im"), []),
+        _set(_EXPLICIT_TL, ("basisA", "labels"), [1.0, False]),
     ],
     ids=[
         "wrong-kind",
@@ -113,6 +133,13 @@ def _without(doc, key):
         "true-in-re",
         "empty-re",
         "none-row",
+        "empty-basis-row",
+        "true-in-hamiltonian-row",
+        "string-in-joint-row",
+        "number-for-row",
+        "none-evolution-row",
+        "empty-basis-matrix",
+        "false-in-labels",
     ],
 )
 def test_schema_faults_read_as_the_plain_schema_pass_reads_them(data):
@@ -132,3 +159,48 @@ def test_numpy_floats_in_a_library_made_dict_are_accepted():
     np.testing.assert_array_equal(
         scenario_from_json(data).scenario.hamiltonian, scenario_from_json(plain).scenario.hamiltonian
     )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("basisA", "re"), ("evolution", "im")],
+    ids=["basis-re", "evolution-im"],
+)
+@pytest.mark.parametrize("rows", ["all", "one"])
+def test_numpy_float_matrix_rows_are_accepted_where_plain_rows_are(path, rows):
+    # a matrix with any row that is not all exact floats or ints takes draft 07's own items
+    plain = _EXPLICIT_TL[path[0]][path[1]]
+    numpy_rows = [list(row) for row in np.array(plain)]
+    data = _set(_EXPLICIT_TL, path, numpy_rows if rows == "all" else [numpy_rows[0], plain[1]])
+    jsonschema.validate(data, schema())
+    got, want = scenario_from_json(data).scenario, scenario_from_json(_EXPLICIT_TL).scenario
+    np.testing.assert_array_equal(got.basis_a.kets, want.basis_a.kets)
+    np.testing.assert_array_equal(got.evolution, want.evolution)
+
+
+def _refs(node):
+    """Every object in a JSON document that holds a ``$ref`` key."""
+    if isinstance(node, dict):
+        if "$ref" in node:
+            yield node
+        for value in node.values():
+            yield from _refs(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _refs(value)
+
+
+def test_every_schema_reference_names_a_definition_alone():
+    # the validator looks references up in definitions by name, and only in this form
+    refs = list(_refs(schema()))
+    assert refs
+    for node in refs:
+        assert list(node) == ["$ref"], node
+        prefix, _, name = node["$ref"].rpartition("/")
+        assert prefix == "#/definitions", node
+        assert name in schema()["definitions"], node
+
+
+def test_vector_definition_is_what_the_matrix_scan_assumes():
+    # a matrix passes in one scan when every row is a non-empty list of plain numbers
+    assert schema()["definitions"]["vector"] == {"type": "array", "minItems": 1, "items": {"type": "number"}}

@@ -257,6 +257,18 @@ def test_joint_table_validation():
         JointTimeDistribution(grid=grid, kind="TL", table=lower)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_joint_table_refuses_non_finite_mass(entry):
+    # NaN is neither negative nor far from 1, so the normalization guard must fail on it
+    grid = TimeGrid(t0=0.0, dt=0.5, n_bins=4)
+    with pytest.raises(NumericsError, match="not normalized"):
+        JointTimeDistribution(grid=grid, kind="SL", table=np.full((4, 4), entry))
+    table = np.full((4, 4), 1.0 / 16.0)
+    table[1, 2] = entry
+    with pytest.raises(NumericsError, match="not normalized"):
+        JointTimeDistribution(grid=grid, kind="SL", table=table)
+
+
 @pytest.mark.parametrize(
     "gamma, dt, error",
     [
