@@ -301,7 +301,7 @@ class MeasurementModel:
         defect = float(np.max(np.abs(gram - np.eye(kets.shape[0]))))
         if defect > ORTHO_TOL:
             raise NumericsError(f"basis is not orthonormal: defect {defect:.3e}")
-        if np.unique(labels).size != labels.size:
+        if len(set(labels.tolist())) != labels.size:
             raise ValueError("outcome labels must be distinct")
         object.__setattr__(self, "kets", _readonly(kets))
         object.__setattr__(self, "labels", _readonly(labels))

@@ -3,7 +3,9 @@
 All matrices serialize as separate real and imaginary nested lists in
 row-major order, so files stay grep-able and diff-able.  Canonical dumps
 round every float to 12 significant digits and sort keys, making repeated
-runs byte-identical.
+runs byte-identical.  A matrix of plain floats is written from its nonzero
+entries, a block of rows at a time, with the bytes each number alone would
+give.
 """
 
 from __future__ import annotations
@@ -236,6 +238,34 @@ def _float_array_text(values: list) -> str:
     return f"[{text}]"
 
 
+# Entries per block of matrix rows: the block's temporaries, not the whole
+# matrix's, are what a large state write holds at once.
+_MATRIX_BLOCK = 4096
+_ZERO_TEXTS = np.array(["0.0", "-0.0"], dtype=object)
+
+
+def _float_matrix_text(rows: list) -> str:
+    """JSON array of the rows' ``_float_array_text``, formatting only nonzero entries.
+
+    ``rows`` are non-empty lists of one length holding only plain floats.  A
+    record state is block-diagonal in the later record, so most of its
+    entries are exact zeros; those are written as the fixed tokens "0.0" and
+    "-0.0", and the nonzero entries of each block of rows go through
+    ``_float_array_text`` in one call.  A NaN or inf is nonzero and raises
+    there, the first in row-major order, as the per-row text would.
+    """
+    step = max(1, _MATRIX_BLOCK // len(rows[0]))
+    blocks = []
+    for start in range(0, len(rows), step):
+        values = np.array(rows[start : start + step])
+        texts = _ZERO_TEXTS[np.signbit(values).view(np.uint8)]
+        nonzero = values != 0.0
+        if nonzero.any():
+            texts[nonzero] = _float_array_text(values[nonzero].tolist())[1:-1].split(",")
+        blocks.append("],[".join(map(",".join, texts.tolist())))
+    return "[[" + "],[".join(blocks) + "]]"
+
+
 def _encode(value: Any) -> str:
     """Canonical JSON text of ``value``, built directly from the values."""
     if isinstance(value, bool):
@@ -250,8 +280,13 @@ def _encode(value: Any) -> str:
         fields = {str(k): _encode(v) for k, v in value.items()}
         return "{" + ",".join(f"{_json_string(k)}:{fields[k]}" for k in sorted(fields)) + "}"
     if isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {float}:
+        types = set(map(type, value))
+        if types == {float}:
             return _float_array_text(value)
+        # a matrix: rows that are lists of one nonzero length, holding only plain floats
+        if types == {list} and len(set(map(len, value))) == 1 and value[0]:
+            if set(map(type, itertools.chain.from_iterable(value))) == {float}:
+                return _float_matrix_text(value)
         return "[" + ",".join(map(_encode, value)) + "]"
     if value is None:
         return "null"
@@ -264,8 +299,9 @@ def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, 12-significant-digit floats, no whitespace.
 
     Non-finite floats raise ValueError.  The text is written directly from
-    the values (lists of floats one join each), without a rounded copy of
-    the payload.
+    the values, without a rounded copy of the payload: a list of floats in
+    one join, and a matrix of plain floats from its nonzero entries, a block
+    of rows at a time.
     """
     return _encode(obj)
 

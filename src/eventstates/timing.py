@@ -14,6 +14,7 @@ measure every builder and time table reads.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -65,6 +66,8 @@ class TimeGrid:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not math.isfinite(self.t0):
             raise ValueError("t0 must be finite")
+        if isinstance(self.n_bins, bool) or not isinstance(self.n_bins, numbers.Integral):
+            raise ValueError(f"n_bins must be an integer, got {self.n_bins!r}")
         if self.n_bins < 2:
             raise ValueError(f"n_bins must be at least 2, got {self.n_bins}")
         if not math.isfinite(self.t_end):

@@ -175,6 +175,12 @@ def test_measurement_model_validation():
     assert model.labels[0] == 1.0
 
 
+@pytest.mark.parametrize("labels", [[0.0, -0.0], [1.0, 1.0]])
+def test_measurement_model_refuses_repeated_labels(labels):
+    with pytest.raises(ValueError, match="outcome labels must be distinct"):
+        MeasurementModel.from_kets(np.eye(2), labels)
+
+
 def test_measurement_model_refuses_non_finite_kets():
     with pytest.raises(ValueError, match="non-finite"):
         MeasurementModel.from_axis_angle(np.nan)

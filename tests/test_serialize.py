@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from eventstates import (
     TimeGrid,
     basis_from_json,
     basis_to_json,
+    build_sl_fuzzy,
     build_sl_instant,
     build_timed_state,
     build_tl_instant,
@@ -30,6 +32,7 @@ from eventstates import (
     state_from_json,
     state_to_json,
 )
+from eventstates import serialize
 from eventstates.serialize import _float_array_text
 
 from helpers import (
@@ -38,6 +41,7 @@ from helpers import (
     random_ket,
     random_marginal_profile,
     random_sl_scenario,
+    random_timed_sl_scenario,
     random_timed_tl_scenario,
     random_tl_scenario,
     rng_for,
@@ -260,7 +264,15 @@ def test_canonical_dumps_refuses_non_finite_like_the_rounded_oracle(payload, bad
 
 def test_canonical_dumps_matches_the_oracle_on_state_payloads():
     rng = rng_for(71)
-    for state in (build_timed_state(random_timed_tl_scenario(rng)), build_tl_instant(random_tl_scenario(rng))):
+    states = (
+        build_timed_state(random_timed_tl_scenario(rng)),
+        build_tl_instant(random_tl_scenario(rng)),
+        build_sl_instant(random_sl_scenario(rng)),
+        build_sl_fuzzy(random_timed_sl_scenario(rng)),
+        build_timed_state(random_timed_tl_scenario(rng, n_bins=8)),
+    )
+    assert states[-1].rho.shape == (256, 256)
+    for state in states:
         payload = state_to_json(state)
         assert canonical_dumps(payload) == _oracle_dumps(payload)
 
@@ -306,6 +318,81 @@ def test_float_array_text_refuses_non_finite(values, bad, where):
     values.insert(where, bad)
     with pytest.raises(ValueError, match="non-finite"):
         _float_array_text(values)
+
+
+def _per_number_matrix_text(rows):
+    return "[" + ",".join(map(_per_number_array_text, rows)) + "]"
+
+
+# Zero-heavy entries, as in a record state that is block-diagonal in the later record.
+_matrix_floats = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]), _row_floats)
+
+
+@st.composite
+def _float_matrices(draw, elements=_matrix_floats):
+    width = draw(st.integers(1, 6))
+    height = draw(st.integers(1, 12))
+    return draw(st.lists(st.lists(elements, min_size=width, max_size=width), min_size=height, max_size=height))
+
+
+@given(_float_matrices(), st.sampled_from([1, 2, 3, 7, serialize._MATRIX_BLOCK]))
+@settings(deadline=None, max_examples=400)
+def test_float_matrix_text_matches_the_per_number_formula_row_by_row(rows, block):
+    # a small block puts several blocks of rows into one small matrix
+    with mock.patch.object(serialize, "_MATRIX_BLOCK", block):
+        assert canonical_dumps(rows) == _per_number_matrix_text(rows)
+
+
+@pytest.mark.parametrize("shape", [(2 * 4096 + 3, 1), (150, 64), (3, 5000)])
+def test_float_matrix_text_matches_the_per_number_formula_across_row_blocks(shape):
+    rng = rng_for(sum(shape))
+    specials = np.array([0.0, -0.0, 5e-324, 1e-4, 1e12, 123456789012345.0, 1e16, -2.5, 3.0])
+    values = np.where(rng.random(shape) < 0.8, 0.0, rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, shape))
+    picks = rng.random(shape) < 0.1
+    values[picks] = rng.choice(specials, size=int(picks.sum()))
+    rows = values.tolist()
+    assert shape[0] * shape[1] > serialize._MATRIX_BLOCK
+    assert canonical_dumps(rows) == _per_number_matrix_text(rows)
+
+
+@given(
+    _float_matrices(),
+    st.lists(st.sampled_from([float("nan"), float("inf"), -float("inf")]), min_size=1, max_size=3),
+    st.data(),
+    st.sampled_from([1, 2, serialize._MATRIX_BLOCK]),
+)
+@settings(deadline=None, max_examples=200)
+def test_float_matrix_text_refuses_non_finite_like_the_rounded_oracle(rows, bads, data, block):
+    for bad in bads:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i][data.draw(st.integers(0, len(rows[0]) - 1))] = bad
+    expected = _outcome(_oracle_dumps, rows)
+    assert isinstance(expected, tuple)
+    with mock.patch.object(serialize, "_MATRIX_BLOCK", block):
+        assert _outcome(canonical_dumps, rows) == expected
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.0, 0.0], [2.0]],
+        [[0.0], []],
+        [[], []],
+        [(1.0, 0.0), (0.0, -0.0)],
+        [[1.0, 0.0], (0.0, 2.0)],
+        [[1.0, 0], [0.0, 2.0]],
+        [[1, 0], [0, 2]],
+        [[1.0, False], [0.0, 2.0]],
+        [[np.float64(0.5), 0.0], [0.0, -0.0]],
+        [[np.float32(0.5), 0.0], [0.0, 1e-17]],
+        [[0.0, None], [0.0, 1.0]],
+        [[0.0, [1.0]], [0.0, 1.0]],
+        ([0.0, -0.0], [1.0, 2.0]),
+    ],
+)
+def test_shapes_off_the_matrix_path_match_the_oracle(rows):
+    assert canonical_dumps(rows) == _oracle_dumps(rows)
+    assert canonical_dumps({"m": rows}) == _oracle_dumps({"m": rows})
 
 
 def test_chsh_report_serializes_flat():

@@ -41,6 +41,18 @@ def test_grid_validation_and_times():
         TimeGrid(t0=0.0, dt=0.1, n_bins=1)
 
 
+@pytest.mark.parametrize("n_bins", [2.5, 4.0, True])
+def test_grid_refuses_a_bin_count_that_is_not_an_integer(n_bins):
+    with pytest.raises(ValueError, match="n_bins must be an integer"):
+        TimeGrid(t0=0.0, dt=0.1, n_bins=n_bins)
+
+
+def test_grid_accepts_a_numpy_integer_bin_count():
+    grid = TimeGrid(t0=0.0, dt=0.05, n_bins=np.int64(400))
+    assert grid.times.shape == (400,)
+    assert exponential_conditional(1.0, grid).amplitudes.shape == (400, 400)
+
+
 def test_profile_normalization_enforced():
     grid = TimeGrid(t0=0.0, dt=0.1, n_bins=5)
     with pytest.raises(NumericsError):
