@@ -329,10 +329,10 @@ _matrix_floats = st.one_of(st.just(0.0), st.just(-0.0), _row_floats)
 
 
 @st.composite
-def _float_matrices(draw, elements=_matrix_floats):
+def _float_matrices(draw):
     width = draw(st.integers(1, 6))
     height = draw(st.integers(1, 12))
-    return draw(st.lists(st.lists(elements, min_size=width, max_size=width), min_size=height, max_size=height))
+    return draw(st.lists(st.lists(_matrix_floats, min_size=width, max_size=width), min_size=height, max_size=height))
 
 
 @given(_float_matrices(), st.sampled_from([1, 2, 3, 7, serialize._MATRIX_BLOCK]))
@@ -343,7 +343,7 @@ def test_float_matrix_text_matches_the_per_number_formula_row_by_row(rows, block
         assert canonical_dumps(rows) == _per_number_matrix_text(rows)
 
 
-@pytest.mark.parametrize("shape", [(2 * 4096 + 3, 1), (150, 64), (3, 5000)])
+@pytest.mark.parametrize("shape", [(2 * serialize._MATRIX_BLOCK + 3, 1), (150, 64), (3, 5000)])
 def test_float_matrix_text_matches_the_per_number_formula_across_row_blocks(shape):
     rng = rng_for(sum(shape))
     specials = np.array([0.0, -0.0, 5e-324, 1e-4, 1e12, 123456789012345.0, 1e16, -2.5, 3.0])
