@@ -4,7 +4,9 @@ A scenario file fixes the causal arrangement, the initial state, the two
 measured bases, and optionally evolutions, Hamiltonians, a timing block, and
 CHSH settings.  Files are validated against the packaged draft-07 schema,
 ``data/scenario.schema.json``, before any numerics run, so malformed input
-fails with a pointed diagnostic rather than a shape error.
+fails with a pointed diagnostic rather than a shape error.  Acceptance is
+decided by one boolean walk of that schema (:func:`_accepts`); draft 07's
+own pass words the refusals.
 
 Angles in scenario files are radians, except the CHSH settings, which are
 conventionally quoted in degrees.
@@ -59,46 +61,136 @@ def schema() -> dict:
     return packaged
 
 
+class _Undecided(Exception):
+    """The walk has no exact draft-07 verdict: a value ``json.load`` never
+    makes, or a keyword or keyword form the packaged schema does not use."""
+
+
+# The exact types json.load makes, and the draft-07 type names each satisfies.
+_JSON_TYPES = {
+    dict: ("object",),
+    list: ("array",),
+    str: ("string",),
+    int: ("integer", "number"),
+    float: ("number",),
+    bool: ("boolean",),
+    type(None): ("null",),
+}
+_TYPE_NAMES = frozenset(name for names in _JSON_TYPES.values() for name in names)
+
+
+def _type(instance, name, node) -> bool:
+    if type(name) is not str or name not in _TYPE_NAMES:
+        raise _Undecided  # a list of types, or no draft-07 type
+    if type(instance) is float:  # draft 07 counts 4.0 as an integer
+        return name == "number" or name == "integer" and instance.is_integer()
+    return name in _JSON_TYPES[type(instance)]
+
+
+def _enum(instance, values, node) -> bool:
+    if any(type(value) is not str for value in values):
+        raise _Undecided
+    return type(instance) is str and instance in values
+
+
+def _required(instance, names, node) -> bool:
+    return type(instance) is not dict or all(name in instance for name in names)
+
+
+def _properties(instance, properties, node) -> bool:
+    if type(instance) is not dict:
+        return True
+    return all(_accepts(instance[key], sub) for key, sub in properties.items() if key in instance)
+
+
+def _additional_properties(instance, allowed, node) -> bool:
+    if allowed is not False or "patternProperties" in node:
+        raise _Undecided
+    if type(instance) is not dict:
+        return True
+    properties = node.get("properties", {})
+    return all(key in properties for key in instance)
+
+
+def _items(instance, item, node) -> bool:
+    if type(item) is not dict:
+        raise _Undecided  # a list of schemas, or a boolean schema
+    if type(instance) is not list:
+        return True
+    if item == {"type": "number"} and set(map(type, instance)) <= {float, int}:
+        return True
+    return all(_accepts(entry, item) for entry in instance)
+
+
+def _is_number(instance) -> bool:
+    return type(instance) in (float, int)  # not bool, as in draft 07
+
+
+# Keyword -> check(instance, keyword value, schema node).  NaN passes the
+# bounds, as in draft 07, which compares with < and <=.
+_KEYWORDS = {
+    "type": _type,
+    "enum": _enum,
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "minItems": lambda instance, least, node: type(instance) is not list or len(instance) >= least,
+    "maxItems": lambda instance, most, node: type(instance) is not list or len(instance) <= most,
+    "minimum": lambda instance, least, node: not (_is_number(instance) and instance < least),
+    "exclusiveMinimum": lambda instance, bound, node: not (_is_number(instance) and instance <= bound),
+    "oneOf": lambda instance, alternatives, node: sum(_accepts(instance, alt) for alt in alternatives) == 1,
+}
+# Annotations, and the definitions that references name: no verdict reads them.
+_KEYWORDS.update(dict.fromkeys(("$schema", "title", "description", "definitions"), lambda *args: True))
+
+
+def _accepts(instance, node) -> bool:
+    """Whether draft 07 accepts ``instance`` against ``node`` of :func:`schema`.
+
+    Returns what ``Draft7Validator(schema()).is_valid`` returns, for the
+    keywords and keyword forms the packaged schema uses, and raises
+    :class:`_Undecided` rather than answer for anything else.
+    """
+    if type(instance) not in _JSON_TYPES or type(node) is not dict:
+        raise _Undecided  # numpy scalars, tuples, boolean schemas
+    if "$ref" in node:  # draft 07 ignores the keywords next to a reference
+        prefix, _, name = node["$ref"].rpartition("/")
+        target = schema()["definitions"].get(name) if prefix == "#/definitions" else None
+        if target is None:
+            raise _Undecided
+        return _accepts(instance, target)
+    for keyword, value in node.items():
+        check = _KEYWORDS.get(keyword)
+        if check is None:
+            raise _Undecided
+        if not check(instance, value, node):
+            return False
+    return True
+
+
 @functools.cache
 def _validator_class() -> type:
-    """Draft 07 with local references looked up by name and plain number arrays scanned once.
+    """Draft 07 that lets :func:`_accepts` decide acceptance.
 
-    Every ``$ref`` in :func:`schema` reads ``#/definitions/<name>``, so a
-    subschema that is only a reference is entered at that definition
-    directly.  Items that must be numbers pass in one scan of their types
-    when all are exactly ``float`` or ``int``, and matrix rows that must be
-    ``#/definitions/vector`` when all are non-empty lists of such numbers.
-    Any other array (empty rows, ``bool`` and numpy scalars included) goes
-    through draft 07's own ``items``, so every verdict and error reads as it
-    does there.  Its ``check_schema`` does nothing: the one schema it is
-    given, :func:`schema`, is meta-checked there.
+    Its ``iter_errors`` yields nothing when the walk accepts the instance;
+    when the walk refuses it or cannot decide, draft 07's own pass runs, so
+    every refusal is worded as the plain pass words it.  Its
+    ``check_schema`` does nothing: the one schema it is given,
+    :func:`schema`, is meta-checked there.
     """
-    items = jsonschema.Draft7Validator.VALIDATORS["items"]
-    definitions = schema()["definitions"]
+    cls = jsonschema.validators.extend(jsonschema.Draft7Validator, {})
+    draft7_iter_errors = cls.iter_errors
 
-    def plain(array) -> bool:
-        return type(array) is list and set(map(type, array)) <= {float, int}
+    def iter_errors(validator, instance):
+        try:
+            if _accepts(instance, validator.schema):
+                return iter(())
+        except _Undecided:
+            pass
+        return draft7_iter_errors(validator, instance)
 
-    def number_items(validator, item_schema, instance, schema):
-        if item_schema == {"type": "number"} and plain(instance):
-            return
-        if item_schema == {"$ref": "#/definitions/vector"} and type(instance) is list:
-            if all(plain(row) and row for row in instance):
-                return
-        yield from items(validator, item_schema, instance, schema)
-
-    def ref(validator, ref, instance, schema):
-        return validator.descend(instance, schema)  # descend_past_ref enters the definition
-
-    cls = jsonschema.validators.extend(jsonschema.Draft7Validator, {"items": number_items, "$ref": ref})
-    descend = cls.descend
-
-    def descend_past_ref(validator, instance, schema, **kwargs):
-        if type(schema) is dict and "$ref" in schema:
-            schema = definitions[schema["$ref"].removeprefix("#/definitions/")]
-        return descend(validator, instance, schema, **kwargs)
-
-    cls.descend = descend_past_ref
+    cls.iter_errors = iter_errors
     cls.check_schema = classmethod(lambda cls, schema, format_checker=None: None)
     return cls
 
@@ -167,8 +259,9 @@ def _parse_profile(data: dict, grid: TimeGrid, name: str) -> TimingProfile:
         return maker(_number(data["gamma"], name, "gamma"), grid)
     if conditional:
         return delta_conditional(grid, _integer(data.get("lag_bins", 0), name, "lag_bins", most=MAX_GRID_BINS))
+    index = _integer(data.get("bin", 0), name, "bin", most=MAX_GRID_BINS)
     try:
-        return delta_profile(grid, int(data.get("bin", 0)))
+        return delta_profile(grid, index)
     except ValueError as exc:
         raise ScenarioError(f"{name}: {exc}") from exc
 
@@ -188,10 +281,11 @@ def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
     """Validate and build a scenario from already-parsed JSON.
 
     ``data`` is checked first by one ``jsonschema.validate`` call against
-    the packaged draft-07 schema itself, with no reference registry; the
-    schema is meta-checked once per process, not once per call, each local
-    ``$ref`` is looked up in ``definitions`` by name, and each array or
-    matrix of plain numbers is checked in one scan.
+    the packaged draft-07 schema, which is meta-checked once per process,
+    not once per call.  A boolean walk of the schema accepts valid data;
+    draft 07's own pass runs only to word a refusal, or when the walk
+    cannot decide (a value ``json.load`` never makes, such as a numpy
+    scalar), so verdicts and messages are the plain pass's.
     """
     try:
         jsonschema.validate(data, schema(), cls=_validator_class())
@@ -227,6 +321,9 @@ def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
     if "chsh" in data:
         if scenario.kind != "SL":
             raise ScenarioError(f"{source}: CHSH settings only apply to independent pairs")
+        dims = (scenario.basis_a.dim, scenario.basis_b.dim)
+        if dims != (2, 2):
+            raise ScenarioError(f"{source}: CHSH settings need two qubit records, got {dims[0]} x {dims[1]}")
         block = data["chsh"]
         chsh_angles = tuple(
             tuple(math.radians(_number(x, "chsh", key)) for x in block[key])

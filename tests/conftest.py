@@ -8,6 +8,9 @@ def pytest_configure(config):
     # precedence.
     config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
     config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+    # Hypothesis imports libcst to report a failing example, and libcst's own
+    # import warns; an error there would stop the session at the first failure.
+    config.addinivalue_line("filterwarnings", "ignore::DeprecationWarning:libcst")
 
 
 @pytest.fixture(autouse=True)

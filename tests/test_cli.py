@@ -678,6 +678,43 @@ def test_chsh_needs_settings(capsys):
     assert "no chsh settings" in err
 
 
+def test_chsh_settings_on_a_qutrit_record_exit_two(capsys, tmp_path):
+    # the settings are qubit angles, so validate refuses them before chsh meets a 6-dim state
+    identity = {"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist(), "labels": [0.0, 1.0, 2.0]}
+    scenario = {
+        "kind": "SL",
+        "initial": {"ket": {"re": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], "im": [0.0] * 6}},
+        "basisA": identity,
+        "basisB": "Sz",
+        "chsh": {"anglesA": [0.0, 90.0], "anglesB": [45.0, 135.0]},
+    }
+    path = tmp_path / "qutrit_chsh.json"
+    path.write_text(json.dumps(scenario))
+    line = f"error: {path}: CHSH settings need two qubit records, got 3 x 2\n"
+    for command in ("validate", "build", "chsh"):
+        assert _run(capsys, command, str(path)) == (2, "", line)
+
+
+@pytest.mark.parametrize(
+    ("index", "message"),
+    [(1e308, "bin must be at most 4096, got 1e+308"), (9, "bin index 9 outside grid of 4 bins")],
+    ids=["huge", "off-grid"],
+)
+def test_delta_profile_bin_is_read_as_lag_bins_is(capsys, tmp_path, index, message):
+    scenario = dict(
+        _PLAIN_TL,
+        hamiltonian=_ZERO_H,
+        timing={
+            "grid": _GRID4,
+            "profileA": {"type": "delta", "bin": index},
+            "profileB": {"type": "delta", "conditional": True, "lag_bins": 0},
+        },
+    )
+    path = tmp_path / "delta_bin.json"
+    path.write_text(json.dumps(scenario))
+    assert _run(capsys, "validate", str(path)) == (2, "", f"error: timing.profileA: {message}\n")
+
+
 def test_demo_appendix_e_exact_lines(capsys):
     code, out, err = _run(capsys, "demo", "appendix-e")
     assert code == 0

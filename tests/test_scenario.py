@@ -7,9 +7,11 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from eventstates import ScenarioError, scenario
-from eventstates.scenario import scenario_from_json, schema
+from eventstates.scenario import _accepts, _Undecided, _validator_class, scenario_from_json, schema
+from test_cli import _mutated_scenarios
 
 
 def _bundled(name: str) -> dict:
@@ -204,3 +206,116 @@ def test_every_schema_reference_names_a_definition_alone():
 def test_vector_definition_is_what_the_matrix_scan_assumes():
     # a matrix passes in one scan when every row is a non-empty list of plain numbers
     assert schema()["definitions"]["vector"] == {"type": "array", "minItems": 1, "items": {"type": "number"}}
+
+
+@given(_mutated_scenarios())
+@settings(max_examples=300, deadline=None)
+def test_walk_decides_as_draft7_decides(data):
+    try:
+        accepted = _accepts(data, schema())
+    except _Undecided:
+        return
+    assert accepted == jsonschema.Draft7Validator(schema()).is_valid(data)
+
+
+def _subschemas(node):
+    """Every schema node of a schema, the node itself first."""
+    assert type(node) is dict, node
+    yield node
+    for keyword in ("properties", "definitions"):
+        for sub in node.get(keyword, {}).values():
+            yield from _subschemas(sub)
+    for sub in node.get("oneOf", []):
+        yield from _subschemas(sub)
+    if "items" in node:
+        yield from _subschemas(node["items"])
+
+
+def test_walk_handles_every_keyword_and_form_of_the_packaged_schema():
+    # anything else makes the walk give up, and every scenario would pay for draft 07's full pass
+    nodes = list(_subschemas(schema()))
+    assert len(nodes) > 50
+    for node in nodes:
+        assert set(node) <= set(scenario._KEYWORDS) | {"$ref"}, node
+        if "type" in node:
+            assert node["type"] in scenario._TYPE_NAMES, node
+        if "enum" in node:
+            assert all(type(value) is str for value in node["enum"]), node
+        if "additionalProperties" in node:
+            assert node["additionalProperties"] is False and "patternProperties" not in node, node
+    assert _accepts(_bundled("bell_sl.json"), schema()) is True
+
+
+_NUMPY_ROWS = [list(row) for row in np.array([[0.0, 0.5], [0.5, 0.0]])]
+
+
+@pytest.mark.parametrize(
+    ("data", "verdict", "message"),
+    [
+        (_set(_TIMED_TL, ("timing", "grid", "n_bins"), 4.0), True, None),
+        (
+            _set(_TIMED_TL, ("timing", "grid", "n_bins"), 4.5),
+            False,
+            "$.timing.grid.n_bins: 4.5 is not of type 'integer'",
+        ),
+        (_set(_TIMED_TL, ("timing", "grid", "dt"), True), False, "$.timing.grid.dt: True is not of type 'number'"),
+        (_set(_TIMED_TL, ("timing", "grid", "dt"), float("nan")), True, "timing.grid: dt must be finite"),
+        (_set(_TIMED_TL, ("initial", "density"), _TIMED_TL["hamiltonian"]), False, None),
+        (dict(_TIMED_TL, extra=1), False, None),
+        (_set(_TIMED_TL, ("hamiltonian", "re"), _NUMPY_ROWS), _Undecided, None),
+    ],
+    ids=[
+        "integral-float-bins",
+        "fractional-bins",
+        "true-as-number",
+        "nan-dt",
+        "ket-and-density",
+        "extra-key",
+        "numpy-rows",
+    ],
+)
+def test_walk_verdicts_at_the_edges_of_draft7(data, verdict, message):
+    draft7 = jsonschema.Draft7Validator(schema()).is_valid(data)
+    if verdict is _Undecided:
+        with pytest.raises(_Undecided):
+            _accepts(data, schema())
+        assert draft7
+        scenario_from_json(data)
+    elif verdict:
+        assert _accepts(data, schema()) is True and draft7
+        if message is None:
+            scenario_from_json(data)
+        else:
+            with pytest.raises(ScenarioError, match=f"^{message}$"):
+                scenario_from_json(data)
+    else:
+        assert _accepts(data, schema()) is False and not draft7
+        with pytest.raises(jsonschema.ValidationError) as oracle:
+            jsonschema.validate(data, schema())
+        worded = f"{oracle.value.json_path}: {oracle.value.message}"
+        assert message is None or worded == message
+        with pytest.raises(ScenarioError) as raised:
+            scenario_from_json(data, source="case.json")
+        assert str(raised.value) == f"case.json: {worded}"
+
+
+def test_valid_scenarios_enter_no_draft7_keyword(monkeypatch):
+    entered = []
+    keywords = _validator_class().VALIDATORS
+
+    def recording(name, check):
+        def keyword(validator, value, instance, node):
+            entered.append(name)
+            return check(validator, value, instance, node)
+
+        return keyword
+
+    for name, check in list(keywords.items()):
+        monkeypatch.setitem(keywords, name, recording(name, check))
+    for data in (_bundled("bell_sl.json"), _bundled("hadamard_tl.json"), _TIMED_TL, _EXPLICIT_TL):
+        scenario_from_json(data)
+    assert entered == []
+    # a refusal is worded by draft 07's own keywords, so the recording sees them
+    with pytest.raises(ScenarioError):
+        scenario_from_json(dict(_TIMED_TL, extra=1))
+    assert "additionalProperties" in entered
