@@ -4,9 +4,9 @@ A scenario file fixes the causal arrangement, the initial state, the two
 measured bases, and optionally evolutions, Hamiltonians, a timing block, and
 CHSH settings.  Files are validated against the packaged draft-07 schema,
 ``data/scenario.schema.json``, before any numerics run, so malformed input
-fails with a pointed diagnostic rather than a shape error.  Acceptance is
-decided by one boolean walk of that schema (:func:`_accepts`); draft 07's
-own pass words the refusals.
+fails with a pointed diagnostic rather than a shape error.  Acceptance of
+any value is decided by one boolean walk of that schema (:func:`_accepts`)
+with draft 07's own type rules; draft 07's own pass only words the refusals.
 
 Angles in scenario files are radians, except the CHSH settings, which are
 conventionally quoted in degrees.
@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -61,84 +62,67 @@ def schema() -> dict:
     return packaged
 
 
-class _Undecided(Exception):
-    """The walk has no exact draft-07 verdict: a value ``json.load`` never
-    makes, or a keyword or keyword form the packaged schema does not use."""
-
-
-# The exact types json.load makes, and the draft-07 type names each satisfies.
-_JSON_TYPES = {
-    dict: ("object",),
-    list: ("array",),
-    str: ("string",),
-    int: ("integer", "number"),
-    float: ("number",),
-    bool: ("boolean",),
-    type(None): ("null",),
+# Draft 07's type names and the values each takes, as its type checker has
+# them: a bool is no number, and an integral float is an integer.
+_TYPES = {
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": lambda x: isinstance(x, int) and type(x) is not bool or isinstance(x, float) and x.is_integer(),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, numbers.Number) and type(x) is not bool,
+    "object": lambda x: isinstance(x, dict),
+    "string": lambda x: isinstance(x, str),
 }
-_TYPE_NAMES = frozenset(name for names in _JSON_TYPES.values() for name in names)
 
 
-def _type(instance, name, node) -> bool:
-    if type(name) is not str or name not in _TYPE_NAMES:
-        raise _Undecided  # a list of types, or no draft-07 type
-    if type(instance) is float:  # draft 07 counts 4.0 as an integer
-        return name == "number" or name == "integer" and instance.is_integer()
-    return name in _JSON_TYPES[type(instance)]
-
-
-def _enum(instance, values, node) -> bool:
-    if any(type(value) is not str for value in values):
-        raise _Undecided
-    return type(instance) is str and instance in values
+def _definition(node: dict) -> dict:
+    """The definition ``{"$ref": "#/definitions/<name>"}`` names, or ``node`` itself."""
+    if "$ref" in node:  # draft 07 ignores the keywords next to a reference
+        return schema()["definitions"][node["$ref"].rpartition("/")[2]]
+    return node
 
 
 def _required(instance, names, node) -> bool:
-    return type(instance) is not dict or all(name in instance for name in names)
+    return not isinstance(instance, dict) or all(name in instance for name in names)
 
 
 def _properties(instance, properties, node) -> bool:
-    if type(instance) is not dict:
+    if not isinstance(instance, dict):
         return True
     return all(_accepts(instance[key], sub) for key, sub in properties.items() if key in instance)
 
 
 def _additional_properties(instance, allowed, node) -> bool:
-    if allowed is not False or "patternProperties" in node:
-        raise _Undecided
-    if type(instance) is not dict:
+    if not isinstance(instance, dict):
         return True
     properties = node.get("properties", {})
     return all(key in properties for key in instance)
 
 
 def _items(instance, item, node) -> bool:
-    if type(item) is not dict:
-        raise _Undecided  # a list of schemas, or a boolean schema
-    if type(instance) is not list:
+    if not isinstance(instance, list):
         return True
+    item = _definition(item)  # once per array, not once per entry
     if item == {"type": "number"} and set(map(type, instance)) <= {float, int}:
         return True
     return all(_accepts(entry, item) for entry in instance)
 
 
-def _is_number(instance) -> bool:
-    return type(instance) in (float, int)  # not bool, as in draft 07
-
-
-# Keyword -> check(instance, keyword value, schema node).  NaN passes the
-# bounds, as in draft 07, which compares with < and <=.
+# Keyword -> check(instance, keyword value, schema node), for the keyword forms
+# the packaged schema uses, which its tests pin.  An enum holds only strings,
+# so ``in`` compares as draft 07 does; NaN passes the bounds, as in draft 07,
+# which compares with < and <=.
 _KEYWORDS = {
-    "type": _type,
-    "enum": _enum,
+    "type": lambda instance, name, node: _TYPES[name](instance),
+    "enum": lambda instance, values, node: instance in values,
     "required": _required,
     "properties": _properties,
     "additionalProperties": _additional_properties,
     "items": _items,
-    "minItems": lambda instance, least, node: type(instance) is not list or len(instance) >= least,
-    "maxItems": lambda instance, most, node: type(instance) is not list or len(instance) <= most,
-    "minimum": lambda instance, least, node: not (_is_number(instance) and instance < least),
-    "exclusiveMinimum": lambda instance, bound, node: not (_is_number(instance) and instance <= bound),
+    "minItems": lambda instance, least, node: not isinstance(instance, list) or len(instance) >= least,
+    "maxItems": lambda instance, most, node: not isinstance(instance, list) or len(instance) <= most,
+    "minimum": lambda instance, least, node: not (_TYPES["number"](instance) and instance < least),
+    "exclusiveMinimum": lambda instance, bound, node: not (_TYPES["number"](instance) and instance <= bound),
     "oneOf": lambda instance, alternatives, node: sum(_accepts(instance, alt) for alt in alternatives) == 1,
 }
 # Annotations, and the definitions that references name: no verdict reads them.
@@ -148,23 +132,15 @@ _KEYWORDS.update(dict.fromkeys(("$schema", "title", "description", "definitions"
 def _accepts(instance, node) -> bool:
     """Whether draft 07 accepts ``instance`` against ``node`` of :func:`schema`.
 
-    Returns what ``Draft7Validator(schema()).is_valid`` returns, for the
-    keywords and keyword forms the packaged schema uses, and raises
-    :class:`_Undecided` rather than answer for anything else.
+    Returns what ``Draft7Validator(schema()).is_valid`` returns, for any
+    Python value: numpy scalars, tuples and dict subclasses are typed by
+    draft 07's own rules.  A comparison draft 07 cannot make either (a
+    complex number against ``minimum``) raises here or is refused, and the
+    refusal's draft-07 pass raises.
     """
-    if type(instance) not in _JSON_TYPES or type(node) is not dict:
-        raise _Undecided  # numpy scalars, tuples, boolean schemas
-    if "$ref" in node:  # draft 07 ignores the keywords next to a reference
-        prefix, _, name = node["$ref"].rpartition("/")
-        target = schema()["definitions"].get(name) if prefix == "#/definitions" else None
-        if target is None:
-            raise _Undecided
-        return _accepts(instance, target)
+    node = _definition(node)
     for keyword, value in node.items():
-        check = _KEYWORDS.get(keyword)
-        if check is None:
-            raise _Undecided
-        if not check(instance, value, node):
+        if not _KEYWORDS[keyword](instance, value, node):
             return False
     return True
 
@@ -174,20 +150,16 @@ def _validator_class() -> type:
     """Draft 07 that lets :func:`_accepts` decide acceptance.
 
     Its ``iter_errors`` yields nothing when the walk accepts the instance;
-    when the walk refuses it or cannot decide, draft 07's own pass runs, so
-    every refusal is worded as the plain pass words it.  Its
-    ``check_schema`` does nothing: the one schema it is given,
-    :func:`schema`, is meta-checked there.
+    when the walk refuses it, draft 07's own pass runs, so every refusal is
+    worded as the plain pass words it.  Its ``check_schema`` does nothing:
+    the one schema it is given, :func:`schema`, is meta-checked there.
     """
     cls = jsonschema.validators.extend(jsonschema.Draft7Validator, {})
     draft7_iter_errors = cls.iter_errors
 
     def iter_errors(validator, instance):
-        try:
-            if _accepts(instance, validator.schema):
-                return iter(())
-        except _Undecided:
-            pass
+        if _accepts(instance, validator.schema):
+            return iter(())
         return draft7_iter_errors(validator, instance)
 
     cls.iter_errors = iter_errors
@@ -282,10 +254,9 @@ def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
 
     ``data`` is checked first by one ``jsonschema.validate`` call against
     the packaged draft-07 schema, which is meta-checked once per process,
-    not once per call.  A boolean walk of the schema accepts valid data;
-    draft 07's own pass runs only to word a refusal, or when the walk
-    cannot decide (a value ``json.load`` never makes, such as a numpy
-    scalar), so verdicts and messages are the plain pass's.
+    not once per call.  A boolean walk of the schema decides acceptance of
+    any value; draft 07's own pass runs only to word a refusal, so verdicts
+    and messages are the plain pass's.
     """
     try:
         jsonschema.validate(data, schema(), cls=_validator_class())

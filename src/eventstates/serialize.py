@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import numbers
+from decimal import Context, Decimal
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any
 
@@ -64,6 +65,13 @@ def _number(value: Any, context: str, key: str) -> float:
     return float(value)
 
 
+def _integral_text(value: int | float) -> str:
+    """``value`` as a message quotes it: whole up to 12 digits, to 12 significant ones beyond ("1e+308")."""
+    if abs(value) < 10**12:
+        return str(value)
+    return format(Decimal(int(value)).normalize(Context(prec=12)), "g")
+
+
 def _integer(value: Any, context: str, key: str, *, most: int | None = None) -> int:
     """``value`` as an int; only an integral JSON number (4 or 4.0), at most ``most`` if given, passes."""
     integral = isinstance(value, float) and value.is_integer() or isinstance(value, numbers.Integral)
@@ -71,7 +79,7 @@ def _integer(value: Any, context: str, key: str, *, most: int | None = None) -> 
         shown = repr(value) if isinstance(value, float) else type(value).__name__
         raise ScenarioError(f"{context}: {key} must be an integer, got {shown}")
     if most is not None and value > most:
-        raise ScenarioError(f"{context}: {key} must be at most {most}, got {value}")
+        raise ScenarioError(f"{context}: {key} must be at most {most}, got {_integral_text(value)}")
     return int(value)
 
 
@@ -126,7 +134,7 @@ def operator_from_json(data: dict, *, name: str = "operator") -> np.ndarray:
     mat = _parts_to_array(data, name)
     dim = _integer(_require(data, "dim", name), name, "dim")
     if mat.shape != (dim, dim):
-        raise ScenarioError(f"{name}: declared dim {dim} does not match shape {mat.shape}")
+        raise ScenarioError(f"{name}: declared dim {_integral_text(dim)} does not match shape {mat.shape}")
     return mat
 
 

@@ -715,6 +715,39 @@ def test_delta_profile_bin_is_read_as_lag_bins_is(capsys, tmp_path, index, messa
     assert _run(capsys, "validate", str(path)) == (2, "", f"error: timing.profileA: {message}\n")
 
 
+_IDENTITY_BASIS = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]], "labels": [1.0, -1.0]}
+
+
+@pytest.mark.parametrize(
+    ("path", "value", "line"),
+    [
+        (("hamiltonian", "dim"), 1e308, "hamiltonian: declared dim 1e+308 does not match shape (2, 2)"),
+        (("hamiltonian", "dim"), 10**299, "hamiltonian: declared dim 1e+299 does not match shape (2, 2)"),
+        (("hamiltonian", "dim"), 3, "hamiltonian: declared dim 3 does not match shape (2, 2)"),
+        (("basisA", "dim"), 1e308, "basisA: declared dim 1e+308 does not match shape (2, 2)"),
+        (("timing", "grid", "n_bins"), 10**299, "timing.grid: n_bins must be at most 4096, got 1e+299"),
+        (("timing", "grid", "n_bins"), 5000, "timing.grid: n_bins must be at most 4096, got 5000"),
+        (("timing", "profileA", "bin"), 10**299, "timing.profileA: bin must be at most 4096, got 1e+299"),
+        (("timing", "profileB", "lag_bins"), 10**299, "timing.profileB: lag_bins must be at most 4096, got 1e+299"),
+        (("dim",), 1e308, "state: declared dim 1e+308 does not match shape (64, 64)"),
+    ],
+    ids=["dim-1e308", "dim-300-digits", "dim-3", "basis-dim", "n_bins", "n_bins-5000", "bin", "lag_bins", "state-dim"],
+)
+def test_integral_numbers_are_quoted_to_twelve_digits(capsys, tmp_path, path, value, line):
+    # JSON keeps every digit of an integer literal; a refusal quotes at most 12 of them
+    if path == ("dim",):
+        doc = _mutant(_built_state("--timed"), path, value)
+    else:
+        profiles = {"profileA": {"type": "delta", "bin": 0}, "profileB": {"type": "delta", "conditional": True}}
+        scenario = dict(_PLAIN_TL, basisA=_IDENTITY_BASIS, hamiltonian=_ZERO_H, timing=dict(grid=_GRID4, **profiles))
+        doc = _mutant(scenario, path, value)
+    file = tmp_path / "huge.json"
+    file.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "witness", str(file))
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+    assert len(err) < 200
+
+
 def test_demo_appendix_e_exact_lines(capsys):
     code, out, err = _run(capsys, "demo", "appendix-e")
     assert code == 0

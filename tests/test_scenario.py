@@ -8,10 +8,11 @@ import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventstates import ScenarioError, scenario
-from eventstates.scenario import _accepts, _Undecided, _validator_class, scenario_from_json, schema
-from test_cli import _mutated_scenarios
+from eventstates.scenario import _accepts, _validator_class, scenario_from_json, schema
+from test_cli import _MUTANT_SEEDS, _mutant, _mutated_scenarios
 
 
 def _bundled(name: str) -> dict:
@@ -153,10 +154,11 @@ def test_schema_faults_read_as_the_plain_schema_pass_reads_them(data):
 
 
 def test_numpy_floats_in_a_library_made_dict_are_accepted():
-    # np.float64 is not exactly float, so these rows take draft 07's own items check
+    # np.float64 is not exactly float, so the walk types these rows entry by entry
     data = _set(_TIMED_TL, ("hamiltonian", "re"), [list(row) for row in np.array([[0.0, 0.5], [0.5, 0.0]])])
     assert all(type(x) is np.float64 for row in data["hamiltonian"]["re"] for x in row)
     jsonschema.validate(data, schema())
+    assert _accepts(data, schema()) is True
     plain = _set(_TIMED_TL, ("hamiltonian", "re"), [[0.0, 0.5], [0.5, 0.0]])
     np.testing.assert_array_equal(
         scenario_from_json(data).scenario.hamiltonian, scenario_from_json(plain).scenario.hamiltonian
@@ -170,11 +172,12 @@ def test_numpy_floats_in_a_library_made_dict_are_accepted():
 )
 @pytest.mark.parametrize("rows", ["all", "one"])
 def test_numpy_float_matrix_rows_are_accepted_where_plain_rows_are(path, rows):
-    # a matrix with any row that is not all exact floats or ints takes draft 07's own items
+    # a row that is not all exact floats or ints is typed entry by entry
     plain = _EXPLICIT_TL[path[0]][path[1]]
     numpy_rows = [list(row) for row in np.array(plain)]
     data = _set(_EXPLICIT_TL, path, numpy_rows if rows == "all" else [numpy_rows[0], plain[1]])
     jsonschema.validate(data, schema())
+    assert _accepts(data, schema()) is True
     got, want = scenario_from_json(data).scenario, scenario_from_json(_EXPLICIT_TL).scenario
     np.testing.assert_array_equal(got.basis_a.kets, want.basis_a.kets)
     np.testing.assert_array_equal(got.evolution, want.evolution)
@@ -193,7 +196,7 @@ def _refs(node):
 
 
 def test_every_schema_reference_names_a_definition_alone():
-    # the validator looks references up in definitions by name, and only in this form
+    # the walk looks references up in definitions by name, once, and only in this form
     refs = list(_refs(schema()))
     assert refs
     for node in refs:
@@ -201,6 +204,7 @@ def test_every_schema_reference_names_a_definition_alone():
         prefix, _, name = node["$ref"].rpartition("/")
         assert prefix == "#/definitions", node
         assert name in schema()["definitions"], node
+        assert "$ref" not in schema()["definitions"][name], node
 
 
 def test_vector_definition_is_what_the_matrix_scan_assumes():
@@ -208,18 +212,87 @@ def test_vector_definition_is_what_the_matrix_scan_assumes():
     assert schema()["definitions"]["vector"] == {"type": "array", "minItems": 1, "items": {"type": "number"}}
 
 
-@given(_mutated_scenarios())
+class _Object(dict):
+    """A dict subclass, as a library may hand one over."""
+
+
+# Values json.load makes, and values only a library makes.
+_PROBES = [True, 0, 4.0, 4.5, float("nan"), float("inf"), 1j, np.float64(4.0), np.float32(0.5), np.int64(2)]
+_PROBES += [np.bool_(True), np.str_("Sz"), "", None, [], (), {}, _Object()]
+
+
+def test_type_table_is_draft7s_type_checker():
+    checker = jsonschema.Draft7Validator.TYPE_CHECKER
+    names = jsonschema.Draft7Validator.META_SCHEMA["definitions"]["simpleTypes"]["enum"]
+    assert sorted(scenario._TYPES) == sorted(names)
+    for name in names:
+        for value in _PROBES:
+            assert scenario._TYPES[name](value) == checker.is_type(value, name), (name, value)
+
+
+def _library_forms(value):
+    """``value`` as numpy, a tuple or a dict subclass would hand it over."""
+    if isinstance(value, dict):
+        return [_Object(value)]
+    if isinstance(value, list):
+        try:
+            array = np.array(value, dtype=float)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            return [tuple(value)]
+        return [tuple(value), array, list(array)]
+    if isinstance(value, bool):
+        return [np.bool_(value)]
+    if isinstance(value, str):
+        return [np.str_(value)]
+    if isinstance(value, int):
+        return [np.int64(value), np.float64(value)]
+    if isinstance(value, float):
+        return [np.float64(value), np.float32(value)]
+    return [value]
+
+
+def _node_paths(doc, path=()):
+    """Key paths to every node of a JSON document but the document itself."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield path + (key,)
+            yield from _node_paths(value, path + (key,))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_LIBRARY_SEEDS = [(doc, list(_node_paths(doc))) for doc in _MUTANT_SEEDS]
+_LIBRARY_LEAVES = [np.float64("nan"), np.int64(-1), np.bool_(False), np.str_("x"), 1j, (), np.array(2.0), _Object()]
+
+
+@st.composite
+def _library_made_scenarios(draw):
+    """A seed scenario with one node, container or leaf, handed over by a library."""
+    doc, paths = draw(st.sampled_from(_LIBRARY_SEEDS))
+    path = draw(st.sampled_from(paths))
+    return _mutant(doc, path, draw(st.sampled_from(_library_forms(_node(doc, path)) + _LIBRARY_LEAVES)))
+
+
+@given(st.one_of(_mutated_scenarios(), _library_made_scenarios()))
 @settings(max_examples=300, deadline=None)
 def test_walk_decides_as_draft7_decides(data):
     try:
-        accepted = _accepts(data, schema())
-    except _Undecided:
+        accepted = jsonschema.Draft7Validator(schema()).is_valid(data)
+    except (TypeError, ValueError) as exc:
+        # draft 07 cannot compare some values (a complex dim with minimum, a
+        # numpy array with an enum); then the one validate call raises as it does
+        with pytest.raises(type(exc)):
+            jsonschema.validate(data, schema(), cls=_validator_class())
         return
-    assert accepted == jsonschema.Draft7Validator(schema()).is_valid(data)
+    assert _accepts(data, schema()) is accepted
 
 
 def _subschemas(node):
-    """Every schema node of a schema, the node itself first."""
+    """Every schema node of a schema, the node itself first; none is a boolean schema."""
     assert type(node) is dict, node
     yield node
     for keyword in ("properties", "definitions"):
@@ -232,17 +305,20 @@ def _subschemas(node):
 
 
 def test_walk_handles_every_keyword_and_form_of_the_packaged_schema():
-    # anything else makes the walk give up, and every scenario would pay for draft 07's full pass
+    # the walk reads only these forms (references: test_every_schema_reference_names_a_definition_alone);
+    # nothing checks them at run time
     nodes = list(_subschemas(schema()))
     assert len(nodes) > 50
     for node in nodes:
         assert set(node) <= set(scenario._KEYWORDS) | {"$ref"}, node
         if "type" in node:
-            assert node["type"] in scenario._TYPE_NAMES, node
+            assert type(node["type"]) is str and node["type"] in scenario._TYPES, node
         if "enum" in node:
             assert all(type(value) is str for value in node["enum"]), node
         if "additionalProperties" in node:
             assert node["additionalProperties"] is False and "patternProperties" not in node, node
+        if "items" in node:
+            assert type(node["items"]) is dict, node
     assert _accepts(_bundled("bell_sl.json"), schema()) is True
 
 
@@ -262,7 +338,7 @@ _NUMPY_ROWS = [list(row) for row in np.array([[0.0, 0.5], [0.5, 0.0]])]
         (_set(_TIMED_TL, ("timing", "grid", "dt"), float("nan")), True, "timing.grid: dt must be finite"),
         (_set(_TIMED_TL, ("initial", "density"), _TIMED_TL["hamiltonian"]), False, None),
         (dict(_TIMED_TL, extra=1), False, None),
-        (_set(_TIMED_TL, ("hamiltonian", "re"), _NUMPY_ROWS), _Undecided, None),
+        (_set(_TIMED_TL, ("hamiltonian", "re"), _NUMPY_ROWS), True, None),
     ],
     ids=[
         "integral-float-bins",
@@ -276,12 +352,7 @@ _NUMPY_ROWS = [list(row) for row in np.array([[0.0, 0.5], [0.5, 0.0]])]
 )
 def test_walk_verdicts_at_the_edges_of_draft7(data, verdict, message):
     draft7 = jsonschema.Draft7Validator(schema()).is_valid(data)
-    if verdict is _Undecided:
-        with pytest.raises(_Undecided):
-            _accepts(data, schema())
-        assert draft7
-        scenario_from_json(data)
-    elif verdict:
+    if verdict:
         assert _accepts(data, schema()) is True and draft7
         if message is None:
             scenario_from_json(data)
@@ -312,7 +383,8 @@ def test_valid_scenarios_enter_no_draft7_keyword(monkeypatch):
 
     for name, check in list(keywords.items()):
         monkeypatch.setitem(keywords, name, recording(name, check))
-    for data in (_bundled("bell_sl.json"), _bundled("hadamard_tl.json"), _TIMED_TL, _EXPLICIT_TL):
+    numpy_rows = _set(_TIMED_TL, ("hamiltonian", "re"), _NUMPY_ROWS)
+    for data in (_bundled("bell_sl.json"), _bundled("hadamard_tl.json"), _TIMED_TL, _EXPLICIT_TL, numpy_rows):
         scenario_from_json(data)
     assert entered == []
     # a refusal is worded by draft 07's own keywords, so the recording sees them
