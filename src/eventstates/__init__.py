@@ -3,182 +3,38 @@
 Build the density matrix carried by a pair of measurement records, witness
 whether the two events were causally ordered or independent, predict one
 record from the other, and check Bell-type bounds on families of settings.
+
+The package re-exports every name in each module's ``__all__``; each module
+declares its own public names once.  Besides the builders, witnesses and
+file I/O, that makes these helpers public at package level:
+``DensityCheck``, ``as_operator``, ``as_ket``, ``projector``,
+``assert_density``, ``is_unitary``, ``assert_unitary``,
+``exponential_tail_mass``, ``branching_amplitude``, ``check_buildable``,
+``VERDICT_SIGNATURE``, ``VERDICT_CLEAR``, ``schema`` and ``load_json_file``.
 """
 
-from .policy import NumericsError, ScenarioError
-from .quantum_core import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    MeasurementModel,
-    bloch_ket,
-    bloch_pair,
-    dephase,
-    partial_trace,
-    relative_entropy_of_coherence,
-    shannon_entropy,
-    tensor_product,
-    trace_distance,
-    validate_density,
-    von_neumann_entropy,
-)
-from .timing import (
-    BranchingSchedule,
-    EventTiming,
-    JointTimeDistribution,
-    TimeGrid,
-    TimingProfile,
-    branching_amplitudes,
-    continuum_limit_check,
-    delta_conditional,
-    delta_profile,
-    exponential_conditional,
-    exponential_grid,
-    exponential_profile,
-    joint_time_distribution,
-    survival_probability,
-)
-from .event_states import (
-    ConditionalDecomposition,
-    EventScenario,
-    EventState,
-    build_event_state,
-    build_sl_fuzzy,
-    build_sl_instant,
-    build_timed_state,
-    build_tl_fuzzy,
-    build_tl_instant,
-    conditional_decomposition,
-    outcome_probabilities,
-    reconstruct_from_decomposition,
-    timer_distribution,
-    trace_out_timers,
-)
-from .witnesses import (
-    ChebyshevCheck,
-    WitnessReport,
-    chebyshev_check,
-    coherence_witness,
-    conditional_mean_arrival,
-    record_coherence,
-    time_correlation,
-    time_witness,
-)
-from .inference import (
-    BasisSearchResult,
-    CorrelationReport,
-    DeterminismReport,
-    HelstromResult,
-    PredictionReport,
-    classical_correlation,
-    determinism_check,
-    find_deterministic_basis,
-    helstrom_pure,
-    helstrom_success,
-    predict_future_outcome,
-)
-from .bell import TSIRELSON_BOUND, ChshReport, chsh_scenarios, chsh_value, event_correlator
-from .scenario import ScenarioFile, load_scenario, scenario_from_json
-from .serialize import (
-    basis_from_json,
-    basis_to_json,
-    canonical_dumps,
-    chsh_report_to_json,
-    load_state,
-    operator_from_json,
-    operator_to_json,
-    profile_from_json,
-    profile_to_json,
-    save_state,
-    state_from_json,
-    state_to_json,
-)
+from . import policy, quantum_core, timing, event_states, witnesses, inference, bell, scenario, serialize
+from .policy import *
+from .quantum_core import *
+from .timing import *
+from .event_states import *
+from .witnesses import *
+from .inference import *
+from .bell import *
+from .scenario import *
+from .serialize import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NumericsError",
-    "ScenarioError",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "MeasurementModel",
-    "bloch_ket",
-    "bloch_pair",
-    "dephase",
-    "partial_trace",
-    "relative_entropy_of_coherence",
-    "shannon_entropy",
-    "tensor_product",
-    "trace_distance",
-    "validate_density",
-    "von_neumann_entropy",
-    "BranchingSchedule",
-    "JointTimeDistribution",
-    "TimeGrid",
-    "TimingProfile",
-    "branching_amplitudes",
-    "continuum_limit_check",
-    "delta_conditional",
-    "delta_profile",
-    "exponential_conditional",
-    "exponential_grid",
-    "exponential_profile",
-    "joint_time_distribution",
-    "survival_probability",
-    "ConditionalDecomposition",
-    "EventScenario",
-    "EventState",
-    "EventTiming",
-    "build_event_state",
-    "build_sl_fuzzy",
-    "build_sl_instant",
-    "build_timed_state",
-    "build_tl_fuzzy",
-    "build_tl_instant",
-    "conditional_decomposition",
-    "outcome_probabilities",
-    "reconstruct_from_decomposition",
-    "timer_distribution",
-    "trace_out_timers",
-    "ChebyshevCheck",
-    "WitnessReport",
-    "chebyshev_check",
-    "coherence_witness",
-    "conditional_mean_arrival",
-    "record_coherence",
-    "time_correlation",
-    "time_witness",
-    "BasisSearchResult",
-    "CorrelationReport",
-    "DeterminismReport",
-    "HelstromResult",
-    "PredictionReport",
-    "classical_correlation",
-    "determinism_check",
-    "find_deterministic_basis",
-    "helstrom_pure",
-    "helstrom_success",
-    "predict_future_outcome",
-    "TSIRELSON_BOUND",
-    "ChshReport",
-    "chsh_scenarios",
-    "chsh_value",
-    "event_correlator",
-    "ScenarioFile",
-    "load_scenario",
-    "scenario_from_json",
-    "basis_from_json",
-    "basis_to_json",
-    "canonical_dumps",
-    "chsh_report_to_json",
-    "load_state",
-    "operator_from_json",
-    "operator_to_json",
-    "profile_from_json",
-    "profile_to_json",
-    "save_state",
-    "state_from_json",
-    "state_to_json",
+    *policy.__all__,
+    *quantum_core.__all__,
+    *timing.__all__,
+    *event_states.__all__,
+    *witnesses.__all__,
+    *inference.__all__,
+    *bell.__all__,
+    *scenario.__all__,
+    *serialize.__all__,
     "__version__",
 ]

@@ -48,7 +48,6 @@ from .quantum_core import (
 from .timing import EventTiming, JointTimeDistribution, TimeGrid, _check_arrangement
 
 __all__ = [
-    "EventTiming",
     "EventScenario",
     "EventState",
     "ConditionalDecomposition",

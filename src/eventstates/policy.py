@@ -7,6 +7,8 @@ contracts asserted by the test suite.
 
 from __future__ import annotations
 
+__all__ = ["NumericsError", "ScenarioError"]
+
 
 class ScenarioError(ValueError):
     """A scenario, file, or argument failed structural validation."""

@@ -262,6 +262,8 @@ def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
         jsonschema.validate(data, schema(), cls=_validator_class())
     except jsonschema.ValidationError as exc:
         raise ScenarioError(f"{source}: {exc.json_path}: {exc.message}") from None
+    except (TypeError, ValueError) as exc:  # a library caller's value draft 07 cannot compare
+        raise ScenarioError(f"{source}: {exc}") from None
 
     kwargs = {
         "kind": data["kind"],

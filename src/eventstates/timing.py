@@ -49,7 +49,7 @@ CONDITIONAL = "conditional"
 
 def _check_arrangement(kind: str) -> None:
     """Raise :class:`ScenarioError` unless ``kind`` names a causal arrangement, "SL" or "TL"."""
-    if kind not in ("SL", "TL"):
+    if not isinstance(kind, str) or kind not in ("SL", "TL"):
         raise ScenarioError(f"kind must be 'SL' or 'TL', got {kind!r}")
 
 

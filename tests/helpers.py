@@ -80,11 +80,13 @@ def random_sl_scenario(rng: np.random.Generator, da: int = 2, db: int = 2, mixed
     )
 
 
-def random_timed_tl_scenario(rng: np.random.Generator, n_bins: int = 3, dim: int = 2) -> EventScenario:
+def random_timed_tl_scenario(
+    rng: np.random.Generator, n_bins: int = 3, dim: int = 2, mixed: bool = False
+) -> EventScenario:
     grid = TimeGrid(t0=float(rng.uniform(-1, 1)), dt=float(rng.uniform(0.1, 0.6)), n_bins=n_bins)
     return EventScenario(
         kind="TL",
-        initial=random_ket(rng, dim),
+        initial=random_density(rng, dim) if mixed else random_ket(rng, dim),
         basis_a=random_basis(rng, dim),
         basis_b=random_basis(rng, dim),
         hamiltonian=random_hermitian(rng, dim),
@@ -95,15 +97,17 @@ def random_timed_tl_scenario(rng: np.random.Generator, n_bins: int = 3, dim: int
     )
 
 
-def random_timed_sl_scenario(rng: np.random.Generator, n_bins: int = 3) -> EventScenario:
+def random_timed_sl_scenario(
+    rng: np.random.Generator, n_bins: int = 3, da: int = 2, db: int = 2, mixed: bool = False
+) -> EventScenario:
     grid = TimeGrid(t0=float(rng.uniform(-1, 1)), dt=float(rng.uniform(0.1, 0.6)), n_bins=n_bins)
     return EventScenario(
         kind="SL",
-        initial=random_ket(rng, 4),
-        basis_a=random_basis(rng, 2),
-        basis_b=random_basis(rng, 2),
-        hamiltonian_a=random_hermitian(rng, 2),
-        hamiltonian_b=random_hermitian(rng, 2),
+        initial=random_density(rng, da * db) if mixed else random_ket(rng, da * db),
+        basis_a=random_basis(rng, da),
+        basis_b=random_basis(rng, db),
+        hamiltonian_a=random_hermitian(rng, da),
+        hamiltonian_b=random_hermitian(rng, db),
         timing=EventTiming(
             profile_a=random_marginal_profile(rng, grid),
             profile_b=random_marginal_profile(rng, grid),

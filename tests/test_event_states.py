@@ -819,6 +819,15 @@ def test_event_state_refuses_an_unknown_arrangement():
         EventState(kind="XX", rho=np.eye(4) / 4, basis_a=sz, basis_b=sz)
 
 
+@pytest.mark.parametrize("kind", [np.array(["SL"]), np.array(["SL", "TL"])], ids=["one-element", "two-element"])
+def test_an_arrangement_that_is_not_a_string_is_refused(kind):
+    sz = MeasurementModel.sz()
+    with pytest.raises(ScenarioError, match="^kind must be 'SL' or 'TL', got "):
+        EventScenario(kind=kind, initial=np.eye(4)[0], basis_a=sz, basis_b=sz)
+    with pytest.raises(ScenarioError, match="^kind must be 'SL' or 'TL', got "):
+        EventState(kind=kind, rho=np.eye(4) / 4, basis_a=sz, basis_b=sz)
+
+
 def test_each_state_space_is_read_only_by_its_own_readers():
     rng = rng_for(35)
     sharp = build_tl_instant(random_tl_scenario(rng))
@@ -848,6 +857,54 @@ def test_swapping_the_factors_of_an_sl_build_transposes_its_probabilities(seed):
         rtol=0.0,
         atol=1e-14,
     )
+
+
+def _traced_timed_state(scenario):
+    return trace_out_timers(build_timed_state(scenario))
+
+
+_BUILD_PATHS = {
+    "tl-instant": ("TL", build_tl_instant),
+    "sl-instant": ("SL", build_sl_instant),
+    "tl-fuzzy": ("TL", build_tl_fuzzy),
+    "sl-fuzzy": ("SL", build_sl_fuzzy),
+    "tl-timed": ("TL", _traced_timed_state),
+    "sl-timed": ("SL", _traced_timed_state),
+}
+
+
+def _random_build_case(rng, kind, build):
+    """A scenario for ``build`` with record dims 2-4, pure or mixed, on 2-5 timing bins."""
+    mixed = bool(rng.integers(2))
+    da = int(rng.integers(2, 5))
+    db = da if kind == "TL" else int(rng.integers(2, 5))
+    if build in (build_tl_instant, build_sl_instant):
+        return random_tl_scenario(rng, da, mixed) if kind == "TL" else random_sl_scenario(rng, da, db, mixed)
+    # timer registers square the grid size into the state dimension
+    max_bins = int(np.sqrt(ev.TIMED_DIM_BOUND // (da * db))) if build is _traced_timed_state else 5
+    n_bins = int(rng.integers(2, min(5, max_bins) + 1))
+    if kind == "TL":
+        return random_timed_tl_scenario(rng, n_bins, da, mixed)
+    return random_timed_sl_scenario(rng, n_bins, da, db, mixed)
+
+
+@pytest.mark.parametrize("kind, build", _BUILD_PATHS.values(), ids=_BUILD_PATHS.keys())
+@given(st.integers(0, 5_000))
+@settings(deadline=None, max_examples=40)
+def test_no_record_marginal_depends_on_the_later_or_distant_basis(kind, build, seed):
+    # The causal order read from record statistics alone: the first record's
+    # marginal ignores the second basis, and an independent pair's second
+    # record ignores the first basis too (each factor of a timed SL scenario
+    # evolves under its own generator; factors that interact could signal).
+    rng = rng_for(seed)
+    scenario = _random_build_case(rng, kind, build)
+    probs = outcome_probabilities(build(scenario))
+    da, db = scenario.dims
+    other_b = outcome_probabilities(build(dataclasses.replace(scenario, basis_b=random_basis(rng, db))))
+    np.testing.assert_allclose(other_b.sum(axis=1), probs.sum(axis=1), rtol=0.0, atol=1e-12)
+    if kind == "SL":
+        other_a = outcome_probabilities(build(dataclasses.replace(scenario, basis_a=random_basis(rng, da))))
+        np.testing.assert_allclose(other_a.sum(axis=0), probs.sum(axis=0), rtol=0.0, atol=1e-12)
 
 
 _GRID4 = TimeGrid(t0=0.0, dt=0.25, n_bins=4)

@@ -153,6 +153,23 @@ def test_schema_faults_read_as_the_plain_schema_pass_reads_them(data):
     assert str(raised.value) == f"case.json: {oracle.value.json_path}: {oracle.value.message}"
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("kind",), np.array(["SL", "TL"]), "^case.json: The truth value"),
+        (("basisA",), np.array(["Sz", "Sx"]), "^case.json: The truth value"),
+        (("hamiltonian", "dim"), 2j, "^case.json: '<' not supported"),
+        (("timing", "grid", "dt"), 1j, "^case.json: '<=' not supported"),
+        (("kind",), np.array(["TL"]), r"^kind must be 'SL' or 'TL', got array\(\['TL'\]"),
+    ],
+    ids=["array-kind", "array-basis", "complex-dim", "complex-dt", "one-element-array-kind"],
+)
+def test_library_values_draft7_cannot_compare_are_scenario_errors(path, value, message):
+    # files cannot carry these values; a library caller's dict can
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_json(_set(_TIMED_TL, path, value), source="case.json")
+
+
 def test_numpy_floats_in_a_library_made_dict_are_accepted():
     # np.float64 is not exactly float, so the walk types these rows entry by entry
     data = _set(_TIMED_TL, ("hamiltonian", "re"), [list(row) for row in np.array([[0.0, 0.5], [0.5, 0.0]])])
