@@ -290,7 +290,7 @@ def _demo_record_pair(name: str) -> tuple[dict, list[str]]:
         "record_coherence_bits": witness.value,
         "verdict": witness.verdict,
         "p_suc": prediction.success,
-        "probs": [float(p) for p in decomp.probs],
+        "probs": np.array(decomp.probs, dtype=float),
     }
     lines = [
         f"record coherence = {witness.value:.6f} bit",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .policy import (
     EIGENVALUE_FLOOR,
@@ -416,11 +416,10 @@ def build_tl_fuzzy(scenario: EventScenario) -> EventState:
 
     # Regroup the double time sum by lag g = l - k: the inter-event evolution
     # depends on the lag alone on a uniform grid.  lag_w[k, g] = joint_w[k, k + g]
-    # is a view stepping n + 1 entries per row; where k + g >= n it wraps into
-    # the next row's lower triangle, which the conditional profile holds at
-    # exactly zero.  The last row has no next row and only its g = 0 cell.
-    step = joint_w.strides[1]
-    lag_w = as_strided(joint_w, shape=(n - 1, n), strides=((n + 1) * step, step), writeable=False)
+    # is every (n + 1)-th length-n window of the flat table; where k + g >= n it
+    # wraps into the next row's lower triangle, which the conditional profile
+    # holds at exactly zero.  The last row has no next row and only its g = 0 cell.
+    lag_w = sliding_window_view(joint_w.ravel(), n)[:: n + 1]
     summed = np.einsum("kg,kaA->gaA", lag_w, rho_rec[:-1])
     summed[0] += joint_w[-1, -1] * rho_rec[-1]
     hops = np.einsum("bi,gij,aj->gba", kb.conj(), ufam, ka)

@@ -1,11 +1,11 @@
 """JSON round-trips for operators, bases, profiles, and record states.
 
-All matrices serialize as separate real and imaginary nested lists in
-row-major order, so files stay grep-able and diff-able.  Canonical dumps
-round every float to 12 significant digits and sort keys, making repeated
-runs byte-identical.  A matrix of plain floats is written from its nonzero
-entries, a block of rows at a time, with the bytes each number alone would
-give.
+All matrices serialize as separate real and imaginary nested arrays in
+row-major order, so files stay grep-able and diff-able.  Payloads hold
+float64 arrays, so ``json.dumps`` needs ``default=np.ndarray.tolist``.
+Canonical dumps round floats to 12 significant digits and sort keys, so
+repeated runs are byte-identical; a 2-D float64 array is written from its
+nonzero entries, a block of rows at a time, as each number alone would be.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ __all__ = [
 ]
 
 
-def _complex_parts(arr: np.ndarray) -> tuple[list, list]:
+def _complex_parts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(arr, dtype=complex)
-    return np.real(arr).tolist(), np.imag(arr).tolist()
+    return arr.real.copy(), arr.imag.copy()
 
 
 def _require(data: dict, key: str, context: str) -> Any:
@@ -141,7 +141,7 @@ def operator_from_json(data: dict, *, name: str = "operator") -> np.ndarray:
 def basis_to_json(basis: MeasurementModel) -> dict:
     """Serialize a measurement basis (kets as rows, one label per row)."""
     out = operator_to_json(basis.kets)
-    out["labels"] = [float(x) for x in basis.labels]
+    out["labels"] = np.array(basis.labels, dtype=float)
     return out
 
 
@@ -203,7 +203,7 @@ def state_from_json(data: dict) -> EventState:
 def chsh_report_to_json(report) -> dict:
     """Serialize a CHSH report (correlators in setting order, value, bound flag)."""
     return {
-        "E": [float(x) for x in report.correlators],
+        "E": np.array(report.correlators, dtype=float),
         "S": float(report.value),
         "tsirelson_ok": bool(report.tsirelson_ok),
     }
@@ -252,20 +252,20 @@ _MATRIX_BLOCK = 4096
 _ZERO_TEXTS = np.array(["0.0", "-0.0"], dtype=object)
 
 
-def _float_matrix_text(rows: list) -> str:
+def _float_matrix_text(matrix: np.ndarray) -> str:
     """JSON array of the rows' ``_float_array_text``, formatting only nonzero entries.
 
-    ``rows`` are non-empty lists of one length holding only plain floats.  A
-    record state is block-diagonal in the later record, so most of its
-    entries are exact zeros; those are written as the fixed tokens "0.0" and
-    "-0.0", and the nonzero entries of each block of rows go through
+    ``matrix`` is a non-empty 2-D float64 array of any layout.  A record
+    state is block-diagonal in the later record, so most of its entries are
+    exact zeros; those are written as the fixed tokens "0.0" and "-0.0", and
+    the nonzero entries of each block of rows sliced from it go through
     ``_float_array_text`` in one call.  A NaN or inf is nonzero and raises
     there, the first in row-major order, as the per-row text would.
     """
-    step = max(1, _MATRIX_BLOCK // len(rows[0]))
+    step = max(1, _MATRIX_BLOCK // matrix.shape[1])
     blocks = []
-    for start in range(0, len(rows), step):
-        values = np.array(rows[start : start + step])
+    for start in range(0, len(matrix), step):
+        values = matrix[start : start + step]
         texts = _ZERO_TEXTS[np.signbit(values).view(np.uint8)]
         nonzero = values != 0.0
         if nonzero.any():
@@ -283,18 +283,16 @@ def _encode(value: Any) -> str:
     if isinstance(value, (np.integer, int)):
         return int.__repr__(int(value))
     if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.size:
+            if value.ndim == 2:
+                return _float_matrix_text(value)
+            if value.ndim == 1:
+                return _float_array_text(value.tolist())
         return _encode(value.tolist())
     if isinstance(value, dict):
         fields = {str(k): _encode(v) for k, v in value.items()}
         return "{" + ",".join(f"{_json_string(k)}:{fields[k]}" for k in sorted(fields)) + "}"
     if isinstance(value, (list, tuple)):
-        types = set(map(type, value))
-        if types == {float}:
-            return _float_array_text(value)
-        # a matrix: rows that are lists of one nonzero length, holding only plain floats
-        if types == {list} and len(set(map(len, value))) == 1 and value[0]:
-            if set(map(type, itertools.chain.from_iterable(value))) == {float}:
-                return _float_matrix_text(value)
         return "[" + ",".join(map(_encode, value)) + "]"
     if value is None:
         return "null"
@@ -307,9 +305,9 @@ def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, 12-significant-digit floats, no whitespace.
 
     Non-finite floats raise ValueError.  The text is written directly from
-    the values, without a rounded copy of the payload: a list of floats in
-    one join, and a matrix of plain floats from its nonzero entries, a block
-    of rows at a time.
+    the values, without a rounded copy of the payload: a 1-D float64 array in
+    one join, a 2-D float64 array from its nonzero entries, a block of rows
+    at a time, and lists, tuples and other arrays element by element.
     """
     return _encode(obj)
 

@@ -23,6 +23,7 @@ from eventstates import (
     build_event_state,
     build_timed_state,
     build_tl_instant,
+    canonical_dumps,
     chsh_scenarios,
     chsh_value,
     classical_correlation,
@@ -923,7 +924,7 @@ def test_raw_profile_off_the_timing_grid_exits_two(capsys, tmp_path):
     scenario = _timed_tl()  # its grid steps by 0.25
     scenario["timing"]["profileA"] = profile
     path = tmp_path / "off_grid.json"
-    path.write_text(json.dumps(scenario))
+    path.write_text(canonical_dumps(scenario))
     code, out, err = _run(capsys, "validate", str(path))
     assert (code, out) == (2, "")
     assert err == "error: timing.profileA: profile grid does not match the timing grid\n"

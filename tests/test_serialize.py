@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from eventstates import (
     ScenarioError,
     TimeGrid,
+    TimingProfile,
     basis_from_json,
     basis_to_json,
     build_sl_fuzzy,
@@ -341,6 +342,7 @@ def test_float_matrix_text_matches_the_per_number_formula_row_by_row(rows, block
     # a small block puts several blocks of rows into one small matrix
     with mock.patch.object(serialize, "_MATRIX_BLOCK", block):
         assert canonical_dumps(rows) == _per_number_matrix_text(rows)
+        assert canonical_dumps(np.array(rows)) == _per_number_matrix_text(rows)
 
 
 @pytest.mark.parametrize("shape", [(2 * serialize._MATRIX_BLOCK + 3, 1), (150, 64), (3, 5000)])
@@ -353,6 +355,7 @@ def test_float_matrix_text_matches_the_per_number_formula_across_row_blocks(shap
     rows = values.tolist()
     assert shape[0] * shape[1] > serialize._MATRIX_BLOCK
     assert canonical_dumps(rows) == _per_number_matrix_text(rows)
+    assert canonical_dumps(values) == _per_number_matrix_text(rows)
 
 
 @given(
@@ -370,6 +373,65 @@ def test_float_matrix_text_refuses_non_finite_like_the_rounded_oracle(rows, bads
     assert isinstance(expected, tuple)
     with mock.patch.object(serialize, "_MATRIX_BLOCK", block):
         assert _outcome(canonical_dumps, rows) == expected
+        assert _outcome(canonical_dumps, np.array(rows)) == expected
+
+
+@given(
+    hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=12), elements=_matrix_floats),
+    st.sampled_from(["as is", "transposed", "real part of a complex array"]),
+    st.sampled_from([1, 3, serialize._MATRIX_BLOCK]),
+)
+@settings(deadline=None, max_examples=400)
+def test_float64_arrays_write_as_their_lists_do(values, layout, block):
+    if layout == "transposed":
+        values = values.T
+    elif layout == "real part of a complex array":
+        carrier = np.empty(values.shape, dtype=complex)
+        carrier.real, carrier.imag = values, 1.5
+        values = carrier.real
+    with mock.patch.object(serialize, "_MATRIX_BLOCK", block):
+        assert canonical_dumps(values) == canonical_dumps(values.tolist())
+
+
+def _payload_arrays(payload):
+    for key, value in payload.items():
+        if key in ("re", "im", "labels"):
+            yield value
+        elif isinstance(value, dict):
+            yield from _payload_arrays(value)
+
+
+def _basis_fields(basis):
+    return basis.kets, basis.labels
+
+
+def _state_fields(state):
+    return state.kind, state.timers, state.rho, *_basis_fields(state.basis_a), *_basis_fields(state.basis_b)
+
+
+def test_payloads_hold_float64_arrays_that_read_back_as_their_canonical_text():
+    # a state read back from canonical text holds only 12-digit floats, which that text keeps exactly
+    built = build_timed_state(random_timed_tl_scenario(rng_for(29)))
+    state = state_from_json(json.loads(canonical_dumps(state_to_json(built))))
+    # unit masses, so that normalizing on reading leaves the amplitudes as they are
+    grid = TimeGrid(t0=0.5, dt=0.25, n_bins=4)
+    profile = TimingProfile(grid=grid, kind="marginal", amplitudes=np.array([1.0, -1.0j, 1.0j, -1.0]))
+    cases = [
+        # (writer, reader, value, arrays in its payload, the fields that compare two read values)
+        (state_to_json, state_from_json, state, 8, _state_fields),
+        (operator_to_json, operator_from_json, state.rho, 2, lambda m: (m,)),
+        (basis_to_json, basis_from_json, state.basis_b, 3, _basis_fields),
+        (profile_to_json, profile_from_json, profile, 2, lambda p: (p.kind, p.grid, p.amplitudes)),
+    ]
+    for to_json, from_json, value, n_arrays, fields in cases:
+        payload = to_json(value)
+        arrays = list(_payload_arrays(payload))
+        assert len(arrays) == n_arrays
+        for arr in arrays:
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.flags.writeable
+        again = fields(from_json(json.loads(canonical_dumps(payload))))
+        for mine, theirs in zip(fields(from_json(payload)), again, strict=True):
+            assert np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
 
 
 @pytest.mark.parametrize(
