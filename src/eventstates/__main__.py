@@ -1,4 +1,8 @@
+import gc
+
 from .cli import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    status = main()
+    gc.freeze()  # exit without teardown's collections over the numpy and scipy heap
+    raise SystemExit(status)

@@ -296,6 +296,16 @@ def _require_kind(scenario: EventScenario, kind: str) -> None:
         raise ScenarioError(f"scenario does not describe {_PAIRS[kind]} events")
 
 
+def _sl_state(scenario: EventScenario, effects_a: np.ndarray, effects_b: np.ndarray) -> EventState:
+    """Diagonal state of p(a, b) = Tr[(E_a (x) E_b) rho] from effect stacks ``[a, j, J] = <J|E_a|j>``."""
+    da, db = scenario.dims
+    rho = scenario.initial_density().reshape(da, db, da, db)
+    half = np.einsum("ajJ,jnJN->anN", effects_a, rho)
+    probs = np.clip(np.real(np.einsum("anN,bnN->ab", half, effects_b)), 0.0, None)
+    diag = np.diag(probs.reshape(da * db)).astype(complex)
+    return EventState(kind="SL", rho=diag, basis_a=scenario.basis_a, basis_b=scenario.basis_b)
+
+
 def build_sl_instant(scenario: EventScenario) -> EventState:
     """Record state for two independent measurements read out sharply.
 
@@ -303,17 +313,8 @@ def build_sl_instant(scenario: EventScenario) -> EventState:
     the Born probabilities of the two outcomes.
     """
     _require_kind(scenario, "SL")
-    da, db = scenario.dims
-    rho = scenario.initial_density().reshape(da, db, da, db)
-    ka, kb = scenario.basis_a.kets, scenario.basis_b.kets
-    probs = np.einsum("ai,bj,ijIJ,aI,bJ->ab", ka.conj(), kb.conj(), rho, ka, kb)
-    probs = np.clip(np.real(probs), 0.0, None)
-    return EventState(
-        kind="SL",
-        rho=np.diag(probs.reshape(da * db)).astype(complex),
-        basis_a=scenario.basis_a,
-        basis_b=scenario.basis_b,
-    )
+    kets = scenario.basis_a.kets, scenario.basis_b.kets
+    return _sl_state(scenario, *(np.einsum("aj,aJ->ajJ", k.conj(), k) for k in kets))
 
 
 def build_tl_instant(scenario: EventScenario) -> EventState:
@@ -372,7 +373,6 @@ def build_sl_fuzzy(scenario: EventScenario) -> EventState:
     _require_kind(scenario, "SL")
     timing = _require_timing(scenario)
     check_buildable(scenario)
-    da, db = scenario.dims
     grid = timing.grid
     ua = _evolution_family(scenario.hamiltonian_a, grid.offsets)
     ub = _evolution_family(scenario.hamiltonian_b, grid.offsets)
@@ -383,14 +383,7 @@ def build_sl_fuzzy(scenario: EventScenario) -> EventState:
     tb = np.einsum("bi,kij->kbj", scenario.basis_b.kets.conj(), ub)
     fa = np.einsum("k,kaj,kaJ->ajJ", wa, ta, ta.conj())
     fb = np.einsum("k,kbn,kbN->bnN", wb, tb, tb.conj())
-    rho = scenario.initial_density().reshape(da, db, da, db)
-    probs = np.clip(np.real(np.einsum("ajJ,bnN,jnJN->ab", fa, fb, rho)), 0.0, None)
-    return EventState(
-        kind="SL",
-        rho=np.diag(probs.reshape(da * db)).astype(complex),
-        basis_a=scenario.basis_a,
-        basis_b=scenario.basis_b,
-    )
+    return _sl_state(scenario, fa, fb)
 
 
 def build_tl_fuzzy(scenario: EventScenario) -> EventState:

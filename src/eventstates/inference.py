@@ -83,28 +83,18 @@ def helstrom_success(
     """Best success probability for telling two weighted states apart.
 
     Equals (1 + tracenorm(p1 rho1 - p2 rho2)) / 2, attained by measuring the
-    sign of the weighted difference.  Priors must sum to 1.
+    sign of the weighted difference's Hermitian part.  Priors must sum to 1.
     """
     _check_priors(p1, p2)
     gap = p1 * np.asarray(rho1, dtype=complex) - p2 * np.asarray(rho2, dtype=complex)
-    success, vals, vecs = _helstrom_spectrum(gap, vectors=True)
+    vals, vecs = np.linalg.eigh(0.5 * (gap + gap.conj().T))
     pos = vecs[:, vals > 0.0]
-    return HelstromResult(success=float(success), projector=pos @ pos.conj().T)
+    return HelstromResult(success=float(_success(vals)), projector=pos @ pos.conj().T)
 
 
-def _helstrom_spectrum(gaps: np.ndarray, *, vectors: bool = False):
-    """Success (1 + tracenorm(gap)) / 2, capped at 1, of each weighted gap.
-
-    ``gaps`` is one matrix p1 rho1 - p2 rho2 or a stack of them.  Returns the
-    success values with the eigenvalues of each gap's Hermitian part and,
-    when ``vectors`` is set, their eigenvectors (else None).
-    """
-    hermitian = 0.5 * (gaps + np.conj(np.swapaxes(gaps, -1, -2)))
-    if vectors:
-        vals, vecs = np.linalg.eigh(hermitian)
-    else:
-        vals, vecs = np.linalg.eigvalsh(hermitian), None
-    return np.minimum(0.5 * (1.0 + np.sum(np.abs(vals), axis=-1)), 1.0), vals, vecs
+def _success(vals: np.ndarray) -> np.ndarray:
+    """Helstrom success (1 + tracenorm(gap)) / 2, capped at 1, from the eigenvalues on the last axis."""
+    return np.minimum(0.5 * (1.0 + np.sum(np.abs(vals), axis=-1)), 1.0)
 
 
 def helstrom_pure(p1: float, ket1: np.ndarray, p2: float, ket2: np.ndarray) -> float:
@@ -145,6 +135,9 @@ def predict_future_outcome(state: EventState) -> PredictionReport:
 
     Decomposes the state by the second outcome and discriminates the
     first-record conditionals with their outcome probabilities as priors.
+    Beyond two live outcomes ``success`` is the square-root measurement's
+    sum_b Tr[R p_b sigma_b R p_b sigma_b] with R = (sum_b p_b sigma_b)^(-1/2),
+    and ``pairwise`` holds every live pair's Helstrom value from one batched ``eigvalsh``.
     """
     decomp = conditional_decomposition(state)
     probs, sigmas = decomp.probs, decomp.sigmas
@@ -163,15 +156,14 @@ def predict_future_outcome(state: EventState) -> PredictionReport:
 
     weighted = probs[:, None, None] * sigmas
     root = _sqrt_pinv(weighted.sum(axis=0))
-    success = float(np.real(np.einsum("ij,bjk,kl,bli->", root, weighted, root, weighted)))
-    # helstrom_success for the pairs (i, j > i) of each live row from one
-    # batched eigvalsh over the gaps (p_i sigma_i - p_j sigma_j) / (p_i + p_j);
-    # a row at a time keeps the stack no larger than ``weighted``.
+    success = float(np.real(np.einsum("bij,bji->", root @ weighted @ root, weighted)))
+    # helstrom_success of each live pair i < j from one eigvalsh of the stacked gaps
+    # (p_i sigma_i - p_j sigma_j) / (p_i + p_j), Hermitian as the sigmas are: L(L-1)/2
+    # da x da matrices for L live outcomes, 28 KB at L = da = 8 and 0.5 MB at 16.
+    i, j = live[np.array(np.triu_indices(live.size, 1))]
+    gaps = (weighted[i] - weighted[j]) / (probs[i] + probs[j])[:, None, None]
     pairwise = np.full((probs.size, probs.size), np.nan)
-    for k, i in enumerate(live[:-1], start=1):
-        j = live[k:]
-        gaps = (weighted[i] - weighted[j]) / (probs[i] + probs[j])[:, None, None]
-        pairwise[i, j] = pairwise[j, i] = _helstrom_spectrum(gaps)[0]
+    pairwise[i, j] = pairwise[j, i] = _success(np.linalg.eigvalsh(gaps))
     np.fill_diagonal(pairwise, 1.0)
     return PredictionReport(
         success=min(success, 1.0), exact=False, projector=None, pairwise=pairwise

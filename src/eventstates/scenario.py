@@ -210,10 +210,7 @@ def _parse_basis(data, name: str) -> MeasurementModel:
 
 def _parse_initial(data: dict) -> np.ndarray:
     if "ket" in data:
-        ket = _parts_to_array(data["ket"], "initial.ket")
-        if ket.ndim != 1:
-            raise ScenarioError("initial.ket: re/im must be equal-length vectors")
-        return ket
+        return _parts_to_array(data["ket"], "initial.ket")
     return operator_from_json(data["density"], name="initial.density")
 
 

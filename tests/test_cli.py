@@ -696,6 +696,13 @@ def test_chsh_settings_on_a_qutrit_record_exit_two(capsys, tmp_path):
         assert _run(capsys, command, str(path)) == (2, "", line)
 
 
+def test_chsh_settings_on_an_ordered_pair_exit_two(capsys, tmp_path):
+    path = tmp_path / "tl_chsh.json"
+    path.write_text(json.dumps(dict(_PLAIN_TL, chsh={"anglesA": [0.0, 90.0], "anglesB": [45.0, 135.0]})))
+    line = f"error: {path}: CHSH settings only apply to independent pairs\n"
+    assert _run(capsys, "validate", str(path)) == (2, "", line)
+
+
 @pytest.mark.parametrize(
     ("index", "message"),
     [(1e308, "bin must be at most 4096, got 1e+308"), (9, "bin index 9 outside grid of 4 bins")],
@@ -928,6 +935,18 @@ def test_raw_profile_off_the_timing_grid_exits_two(capsys, tmp_path):
     code, out, err = _run(capsys, "validate", str(path))
     assert (code, out) == (2, "")
     assert err == "error: timing.profileA: profile grid does not match the timing grid\n"
+
+
+def test_raw_conditional_profile_off_unit_mass_exits_two(capsys, tmp_path):
+    amps = 2.0 * np.eye(4)  # unit rows on the 0.25 grid, but row 0 holds 1.8^2 * 0.25 = 0.81
+    amps[0, 0] = 1.8
+    profile = {"t0": 0.0, "dt": 0.25, "kind": "conditional", "re": amps.tolist(), "im": np.zeros((4, 4)).tolist()}
+    path = tmp_path / "off_mass.json"
+    path.write_text(json.dumps(_timed_tl(profile_b=profile)))
+    with _coarse_grid_warnings():
+        code, out, err = _run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: timing.profileB: conditional profile rows not normalized: defect 1.900e-01\n"
 
 
 def test_discriminate_traces_out_the_timers_of_a_timed_state(capsys, tmp_path):

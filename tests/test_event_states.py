@@ -338,6 +338,38 @@ def test_sl_fuzzy_matches_double_time_average(seed):
     np.testing.assert_allclose(outcome_probabilities(state), _sl_fuzzy_oracle(sc), atol=1e-10)
 
 
+@given(st.integers(0, 5_000))
+@settings(deadline=None, max_examples=40)
+def test_sl_builds_match_their_joint_contractions(seed):
+    # the joint five- and three-index einsums, written out, at records of dimension <= 4
+    rng = rng_for(seed)
+    da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    mixed = bool(rng.integers(2))
+    sharp = random_sl_scenario(rng, da, db, mixed=mixed)
+    rho = sharp.initial_density().reshape(da, db, da, db)
+    ka, kb = sharp.basis_a.kets, sharp.basis_b.kets
+    expect = np.einsum("ai,bj,ijIJ,aI,bJ->ab", ka.conj(), kb.conj(), rho, ka, kb)
+    np.testing.assert_allclose(
+        outcome_probabilities(build_sl_instant(sharp)), np.clip(expect.real, 0.0, None), rtol=0.0, atol=1e-15
+    )
+
+    fuzzy = random_timed_sl_scenario(rng, n_bins=int(rng.integers(2, 6)), da=da, db=db, mixed=mixed)
+    grid = fuzzy.timing.grid
+    effects = []
+    for h, basis, profile in (
+        (fuzzy.hamiltonian_a, fuzzy.basis_a, fuzzy.timing.profile_a),
+        (fuzzy.hamiltonian_b, fuzzy.basis_b, fuzzy.timing.profile_b),
+    ):
+        hops = np.einsum("ai,kij->kaj", basis.kets.conj(), ev._evolution_family(h, grid.offsets))
+        weights = np.abs(profile.amplitudes) ** 2 * grid.dt
+        effects.append(np.einsum("k,kaj,kaJ->ajJ", weights, hops, hops.conj()))
+    rho = fuzzy.initial_density().reshape(da, db, da, db)
+    expect = np.einsum("ajJ,bnN,jnJN->ab", *effects, rho)
+    np.testing.assert_allclose(
+        outcome_probabilities(build_sl_fuzzy(fuzzy)), np.clip(expect.real, 0.0, None), rtol=0.0, atol=1e-15
+    )
+
+
 def _tl_fuzzy_oracle(sc):
     timing = sc.timing
     grid = timing.grid
@@ -765,6 +797,20 @@ def test_fuzzy_tl_conditionals_can_be_mixed():
     # averaging over firing times generally leaves mixed branches
     assert not decomp.pure
     assert decomp.lambdas is None
+
+
+def test_independent_pairs_carry_no_branch_kets():
+    # the one live conditional is pure, but branch kets belong to ordered pairs
+    sc = EventScenario(
+        kind="SL",
+        initial=np.array([1.0, 0.0, 0.0, 0.0]),
+        basis_a=MeasurementModel.sz(),
+        basis_b=MeasurementModel.sz(),
+    )
+    decomp = conditional_decomposition(build_sl_instant(sc))
+    np.testing.assert_array_equal(decomp.conditionals[0], np.diag([1.0, 0.0]))
+    assert decomp.lambdas is None
+    assert not decomp.pure
 
 
 @pytest.mark.parametrize("dim", [2, 3], ids=["helstrom", "square-root"])

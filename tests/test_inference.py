@@ -191,6 +191,34 @@ def test_prediction_beyond_two_outcomes_is_flagged_achievable(seed):
                 assert 0.5 - 1e-12 <= report.pairwise[i, j] <= 1.0 + 1e-12
 
 
+@given(st.integers(0, 5_000))
+@settings(deadline=None, max_examples=30)
+def test_square_root_and_pairwise_values_match_their_longhand_forms(seed):
+    rng = rng_for(seed)
+    dim = int(rng.integers(3, 7))
+    state = build_tl_instant(random_tl_scenario(rng, dim, mixed=bool(rng.integers(2))))
+    report = predict_future_outcome(state)
+    decomp = conditional_decomposition(state)
+    probs, sigmas = decomp.probs, decomp.sigmas
+    live = [b for b in range(dim) if probs[b] > 0.0]
+    assert len(live) >= 3 and not report.exact
+    # sum_b Tr[(R p_b sigma_b R) p_b sigma_b] with R the inverse root of the average, one outcome at a time
+    vals, vecs = np.linalg.eigh(sum(probs[b] * sigmas[b] for b in live))
+    inv_root = sum(projector(vecs[:, i]) / np.sqrt(vals[i]) for i in range(dim) if vals[i] > 1e-14)
+    srm = 0.0
+    for b in live:
+        weighted = probs[b] * sigmas[b]
+        srm += float(np.real(np.trace((inv_root @ weighted @ inv_root) @ weighted)))
+    assert report.success == pytest.approx(min(srm, 1.0), abs=1e-12)
+    for i in live:
+        for j in live:
+            if i < j:
+                scale = probs[i] + probs[j]
+                expect = helstrom_success(probs[i] / scale, sigmas[i], probs[j] / scale, sigmas[j])
+                assert report.pairwise[i, j] == report.pairwise[j, i]
+                assert report.pairwise[i, j] == pytest.approx(expect.success, abs=1e-12)
+
+
 def _cc_oracle(rho: np.ndarray, n_theta: int = 100, n_phi: int = 200) -> float:
     # plain-loop scan over first-record bases, written out longhand
     db = rho.shape[0] // 2

@@ -113,6 +113,16 @@ def test_trace_distance_orthogonal_states():
     assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_trace_distance_refuses_mismatched_dimensions():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        trace_distance(np.eye(2) / 2.0, np.eye(3) / 3.0)
+
+
+def test_dephasing_without_a_basis_keeps_the_computational_diagonal():
+    rho = random_density(rng_for(4), 3)
+    np.testing.assert_array_equal(dephase(rho), np.diag(np.diag(rho)))
+
+
 @given(st.integers(0, 2_000))
 @settings(deadline=None, max_examples=50)
 def test_dephase_fixes_diagonal_and_is_idempotent(seed):

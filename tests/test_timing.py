@@ -47,6 +47,11 @@ def test_grid_refuses_a_bin_count_that_is_not_an_integer(n_bins):
         TimeGrid(t0=0.0, dt=0.1, n_bins=n_bins)
 
 
+def test_grid_start_must_be_finite():
+    with pytest.raises(ValueError, match="t0 must be finite"):
+        TimeGrid(t0=float("inf"), dt=0.1, n_bins=4)
+
+
 def test_grid_accepts_a_numpy_integer_bin_count():
     grid = TimeGrid(t0=0.0, dt=0.05, n_bins=np.int64(400))
     assert grid.times.shape == (400,)
@@ -234,6 +239,14 @@ def test_continuum_limit_check_rejects_mismatched_grids():
     cond = exponential_conditional(1.0, grid)
     with pytest.raises(ValueError):
         continuum_limit_check(sched, cond)
+
+
+def test_continuum_limit_check_is_zero_when_the_first_bin_holds_the_mass():
+    # 99.5% fires in bin 0, so no bin precedes 99% of the mass and none is compared
+    grid = exponential_grid(1.0, 0.01)
+    with pytest.warns(UserWarning, match="continuum reading is coarse"):
+        sched = BranchingSchedule.constant(grid, 0.995)
+    assert continuum_limit_check(sched, exponential_profile(1.0, grid)) == 0.0
 
 
 def test_joint_time_distribution_product_and_ordered():
