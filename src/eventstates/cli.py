@@ -79,7 +79,7 @@ def _detector_state(state: EventState | None, loaded: ScenarioFile | None) -> Ev
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(canonical_dumps(payload))
     else:
         for line in lines:
@@ -318,20 +318,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build and analyze joint record states of measurement event pairs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("validate", help="check that a scenario file can be built")
+    p = sub.add_parser("validate", help="check that a scenario file can be built", parents=[common])
     p.add_argument("scenario")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("build", help="build the record state a scenario describes")
+    p = sub.add_parser("build", help="build the record state a scenario describes", parents=[common])
     p.add_argument("scenario")
     p.add_argument("--timed", action="store_true", help="keep timer registers (small grids only)")
     p.add_argument("--out", help="write the state JSON here instead of stdout")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_build)
 
-    p = sub.add_parser("witness", help="run causal-signature witnesses")
+    p = sub.add_parser("witness", help="run causal-signature witnesses", parents=[common])
     p.add_argument("path", help="scenario file or serialized record state")
     p.add_argument(
         "--kind",
@@ -339,31 +339,26 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which witness to run (default: every applicable one)",
     )
-    p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_witness)
 
-    p = sub.add_parser("discriminate", help="predict the second record from the first")
+    p = sub.add_parser("discriminate", help="predict the second record from the first", parents=[common])
     p.add_argument("path", help="scenario file or serialized record state")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_discriminate)
 
-    p = sub.add_parser("classical-corr", help="classical correlation of the two records")
+    p = sub.add_parser("classical-corr", help="classical correlation of the two records", parents=[common])
     p.add_argument("path", help="scenario file or serialized record state")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_classical_corr)
 
-    p = sub.add_parser("chsh", help="CHSH combination from a scenario's settings")
+    p = sub.add_parser("chsh", help="CHSH combination from a scenario's settings", parents=[common])
     p.add_argument("scenario")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_chsh)
 
-    p = sub.add_parser("demo", help="run a bundled worked example")
+    p = sub.add_parser("demo", help="run a bundled worked example", parents=[common])
     p.add_argument("name", choices=DEMO_NAMES)
     p.add_argument("--gamma", type=float, default=1.0, help="decay rate for the decay demo")
     p.add_argument("--dt", type=float, default=0.001, help="grid step for the decay demo")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_demo)
 
     return parser

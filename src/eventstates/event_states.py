@@ -39,6 +39,7 @@ from .policy import (
 )
 from .quantum_core import (
     MeasurementModel,
+    _assert_hermitian,
     _readonly,
     as_ket,
     as_operator,
@@ -66,14 +67,6 @@ __all__ = [
 ]
 
 TIMED_DIM_BOUND = 256
-
-
-def _assert_hermitian(mat: np.ndarray, *, name: str) -> np.ndarray:
-    mat = as_operator(mat, name=name)
-    defect = float(np.max(np.abs(mat - mat.conj().T)))
-    if defect > HERMITICITY_TOL:
-        raise NumericsError(f"{name} is not Hermitian: defect {defect:.3e}")
-    return mat
 
 
 _PAIRS = {"SL": "independent", "TL": "ordered"}
@@ -120,11 +113,7 @@ class EventScenario:
     def __post_init__(self):
         _check_arrangement(self.kind)
         initial = np.asarray(self.initial, dtype=complex)
-        if initial.ndim == 1:
-            initial = as_ket(initial, name="initial state")
-        else:
-            initial = assert_density(initial, name="initial state")
-        object.__setattr__(self, "initial", _readonly(initial))
+        initial = (as_ket if initial.ndim == 1 else as_operator)(initial, name="initial state")
         dim = initial.shape[0]
         da, db = self.dims
 
@@ -138,6 +127,9 @@ class EventScenario:
                 f"independent events need basis dims whose product is the state dim: "
                 f"{da} * {db} != {dim}"
             )
+        if initial.ndim == 2:  # the spectrum is checked once the size is known to fit
+            initial = assert_density(initial, name="initial state")
+        object.__setattr__(self, "initial", _readonly(initial))
         spaces = {"system": (dim, "the system"), "A": (da, "its factor"), "B": (db, "its factor")}
         for field, kinds, check, space in _OPERATOR_FIELDS:
             op = getattr(self, field)
@@ -221,14 +213,14 @@ class EventState:
 
     def __post_init__(self):
         _check_arrangement(self.kind)
-        rho = assert_density(self.rho, name="event state")
+        rho = as_operator(self.rho, name="event state")
         da, db = self.basis_a.dim, self.basis_b.dim
         expect = da * db
         if self.timers is not None:
             expect *= self.timers.n_bins**2
         if rho.shape[0] != expect:
             raise ScenarioError(f"state dimension {rho.shape[0]} does not match bases/timers ({expect})")
-        object.__setattr__(self, "rho", _readonly(rho))
+        object.__setattr__(self, "rho", _readonly(assert_density(rho, name="event state")))
 
     @property
     def dims(self) -> tuple[int, int]:

@@ -198,6 +198,7 @@ class CorrelationReport:
     ``bits`` is the classical correlation; ``basis`` is the first-record
     measurement attaining it (ties resolve toward the smallest polar angle
     on the Bloch grid, or the earliest entry of an explicit candidate list).
+    For commuting records it is the record basis, with the first record's labels.
     """
 
     bits: float
@@ -214,9 +215,11 @@ def classical_correlation(
     Maximizes S(rho_b) - sum_i p_i S(rho_b | i) over complete projective
     measurements of the first record: a lower bound on Henderson-Vedral's
     C_A, whose maximum over POVMs can exceed it once three or more second
-    outcomes carry mass.  Qubit first records are searched over
-    the Bloch sphere (coarse grid plus a simplex refinement); larger records
-    need ``measurements``, a list of candidate :class:`MeasurementModel` bases.
+    outcomes carry mass.  For ``rho`` diagonal in the record basis, the record
+    basis meets the Holevo bound: C_A = I(A:B) of p(a, b), exact in any
+    dimension.  Otherwise qubit first records are searched over the Bloch
+    sphere (coarse grid plus a simplex refinement); larger records need
+    ``measurements``, a list of candidate :class:`MeasurementModel` bases.
     """
     rho = state.detector_rho
     da, db = state.dims
@@ -224,6 +227,8 @@ def classical_correlation(
     rho_b = partial_trace(rho, (da, db), keep="B")
     entropy_b = von_neumann_entropy(rho_b)
 
+    if measurements is None and np.array_equal(rho, np.diag(rho.diagonal())):
+        measurements = [MeasurementModel.from_kets(np.eye(da), state.basis_a.labels)]
     if measurements is not None:
         values = _holevo_like(rho4, np.stack([m.kets for m in measurements]), entropy_b)
         best = int(np.argmax(values))

@@ -254,6 +254,14 @@ def assert_density(op, *, name: str = "state") -> np.ndarray:
     return mat
 
 
+def _assert_hermitian(mat: np.ndarray, *, name: str) -> np.ndarray:
+    mat = as_operator(mat, name=name)
+    defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if defect > HERMITICITY_TOL:
+        raise NumericsError(f"{name} is not Hermitian: defect {defect:.3e}")
+    return mat
+
+
 def _unitarity_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
 

@@ -32,6 +32,7 @@ from .serialize import (
     _number,
     _parts_to_array,
     _time_grid,
+    _worded,
     basis_from_json,
     load_json_file,
     operator_from_json,
@@ -184,7 +185,7 @@ def _rotation_unitary(axis: str, angle: float) -> np.ndarray:
 def _parse_unitary(data: dict, name: str) -> np.ndarray:
     if "axis" in data:
         return _rotation_unitary(data["axis"], _number(data["angle"], name, "angle"))
-    return operator_from_json(data, name=name)
+    return operator_from_json(data, name)
 
 
 _NAMED_BASES = {
@@ -201,22 +202,19 @@ def _parse_basis(data, name: str) -> MeasurementModel:
         labels = data.get("labels", (1.0, -1.0))
         theta = _number(data["theta"], name, "theta")
         phi = _number(data.get("phi", 0.0), name, "phi")
-        try:
-            return MeasurementModel.from_axis_angle(theta, phi, labels=labels)
-        except ValueError as exc:
-            raise ScenarioError(f"{name}: {exc}") from exc
-    return basis_from_json(data, name=name)
+        return _worded(name, MeasurementModel.from_axis_angle, theta, phi, labels=labels)
+    return basis_from_json(data, name)
 
 
-def _parse_initial(data: dict) -> np.ndarray:
+def _parse_initial(data: dict, name: str) -> np.ndarray:
     if "ket" in data:
-        return _parts_to_array(data["ket"], "initial.ket")
-    return operator_from_json(data["density"], name="initial.density")
+        return _parts_to_array(data["ket"], f"{name}.ket")
+    return operator_from_json(data["density"], f"{name}.density")
 
 
 def _parse_profile(data: dict, grid: TimeGrid, name: str) -> TimingProfile:
     if "type" not in data:
-        profile = profile_from_json(data, name=name)
+        profile = profile_from_json(data, name)
         if profile.grid != grid:
             raise ScenarioError(f"{name}: profile grid does not match the timing grid")
         return profile
@@ -229,21 +227,31 @@ def _parse_profile(data: dict, grid: TimeGrid, name: str) -> TimingProfile:
     if conditional:
         return delta_conditional(grid, _integer(data.get("lag_bins", 0), name, "lag_bins", most=MAX_GRID_BINS))
     index = _integer(data.get("bin", 0), name, "bin", most=MAX_GRID_BINS)
-    try:
-        return delta_profile(grid, index)
-    except ValueError as exc:
-        raise ScenarioError(f"{name}: {exc}") from exc
+    return _worded(name, delta_profile, grid, index)
 
 
-def _parse_timing(data: dict) -> EventTiming:
-    grid = _time_grid(data["grid"], "timing.grid")
+def _parse_timing(data: dict, name: str) -> EventTiming:
+    grid = _time_grid(data["grid"], f"{name}.grid")
     if "joint" in data:
-        return EventTiming(
-            joint_amplitudes=_parts_to_array(data["joint"], "timing.joint"), joint_grid=grid
-        )
-    profile_a = _parse_profile(data["profileA"], grid, "timing.profileA")
-    profile_b = _parse_profile(data["profileB"], grid, "timing.profileB")
+        return EventTiming(joint_amplitudes=_parts_to_array(data["joint"], f"{name}.joint"), joint_grid=grid)
+    profile_a = _parse_profile(data["profileA"], grid, f"{name}.profileA")
+    profile_b = _parse_profile(data["profileB"], grid, f"{name}.profileB")
     return EventTiming(profile_a=profile_a, profile_b=profile_b)
+
+
+# File key, the EventScenario field it fills, and its reader (value, name), in reading order.
+_FIELDS = (
+    ("initial", "initial", _parse_initial),
+    ("basisA", "basis_a", _parse_basis),
+    ("basisB", "basis_b", _parse_basis),
+    ("evolution", "evolution", _parse_unitary),
+    ("evolutionA", "evolution_a", _parse_unitary),
+    ("evolutionB", "evolution_b", _parse_unitary),
+    ("hamiltonian", "hamiltonian", operator_from_json),
+    ("hamiltonianA", "hamiltonian_a", operator_from_json),
+    ("hamiltonianB", "hamiltonian_b", operator_from_json),
+    ("timing", "timing", _parse_timing),
+)
 
 
 def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
@@ -262,30 +270,8 @@ def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
     except (TypeError, ValueError) as exc:  # a library caller's value draft 07 cannot compare
         raise ScenarioError(f"{source}: {exc}") from None
 
-    kwargs = {
-        "kind": data["kind"],
-        "initial": _parse_initial(data["initial"]),
-        "basis_a": _parse_basis(data["basisA"], "basisA"),
-        "basis_b": _parse_basis(data["basisB"], "basisB"),
-    }
-    for json_key, field in (
-        ("evolution", "evolution"),
-        ("evolutionA", "evolution_a"),
-        ("evolutionB", "evolution_b"),
-    ):
-        if json_key in data:
-            kwargs[field] = _parse_unitary(data[json_key], json_key)
-    for json_key, field in (
-        ("hamiltonian", "hamiltonian"),
-        ("hamiltonianA", "hamiltonian_a"),
-        ("hamiltonianB", "hamiltonian_b"),
-    ):
-        if json_key in data:
-            kwargs[field] = operator_from_json(data[json_key], name=json_key)
-    if "timing" in data:
-        kwargs["timing"] = _parse_timing(data["timing"])
-
-    scenario = EventScenario(**kwargs)
+    fields = {field: read(data[key], key) for key, field, read in _FIELDS if key in data}
+    scenario = EventScenario(kind=data["kind"], **fields)
 
     chsh_angles = None
     if "chsh" in data:

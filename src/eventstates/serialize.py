@@ -83,16 +83,21 @@ def _integer(value: Any, context: str, key: str, *, most: int | None = None) -> 
     return int(value)
 
 
+def _worded(context: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError it raises becomes ScenarioError("<context>: <message>")."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{context}: {exc}") from exc
+
+
 def _time_grid(spec: dict, context: str, n_bins: int | None = None) -> TimeGrid:
     """The grid of ``spec``: ``t0`` (0 when absent), ``dt``, and the bin count ``n_bins`` unless given."""
     dt = _number(_require(spec, "dt", context), context, "dt")
     t0 = _number(spec.get("t0", 0.0), context, "t0")
     if n_bins is None:
         n_bins = _integer(_require(spec, "n_bins", context), context, "n_bins", most=MAX_GRID_BINS)
-    try:
-        return TimeGrid(t0=t0, dt=dt, n_bins=n_bins)
-    except ValueError as exc:
-        raise ScenarioError(f"{context}: {exc}") from exc
+    return _worded(context, TimeGrid, t0=t0, dt=dt, n_bins=n_bins)
 
 
 def _float_array(value: Any, error: str) -> np.ndarray:
@@ -130,7 +135,7 @@ def operator_to_json(op: np.ndarray) -> dict:
     return {"dim": int(mat.shape[0]), "re": re, "im": im}
 
 
-def operator_from_json(data: dict, *, name: str = "operator") -> np.ndarray:
+def operator_from_json(data: dict, name: str = "operator") -> np.ndarray:
     mat = _parts_to_array(data, name)
     dim = _integer(_require(data, "dim", name), name, "dim")
     if mat.shape != (dim, dim):
@@ -145,13 +150,10 @@ def basis_to_json(basis: MeasurementModel) -> dict:
     return out
 
 
-def basis_from_json(data: dict, *, name: str = "basis") -> MeasurementModel:
-    kets = operator_from_json(data, name=name)
+def basis_from_json(data: dict, name: str = "basis") -> MeasurementModel:
+    kets = operator_from_json(data, name)
     labels = _float_array(_require(data, "labels", name), f"{name}: labels must be an array of numbers")
-    try:
-        return MeasurementModel.from_kets(kets, labels)
-    except ValueError as exc:
-        raise ScenarioError(f"{name}: {exc}") from exc
+    return _worded(name, MeasurementModel.from_kets, kets, labels)
 
 
 def profile_to_json(profile: TimingProfile) -> dict:
@@ -166,16 +168,13 @@ def profile_to_json(profile: TimingProfile) -> dict:
     }
 
 
-def profile_from_json(data: dict, *, name: str = "profile") -> TimingProfile:
+def profile_from_json(data: dict, name: str = "profile") -> TimingProfile:
     amps = _parts_to_array(data, name)
     kind = _require(data, "kind", name)
     if amps.ndim == 0:
         raise ScenarioError(f"{name}: re/im must be arrays, not single numbers")
     grid = _time_grid(data, name, n_bins=len(amps))
-    try:
-        return TimingProfile(grid=grid, kind=kind, amplitudes=amps)
-    except ValueError as exc:
-        raise ScenarioError(f"{name}: {exc}") from exc
+    return _worded(name, TimingProfile, grid=grid, kind=kind, amplitudes=amps)
 
 
 def state_to_json(state: EventState) -> dict:
@@ -193,9 +192,9 @@ def state_to_json(state: EventState) -> dict:
 def state_from_json(data: dict) -> EventState:
     """Rebuild a record state, revalidating every structural invariant."""
     kind = _require(data, "kind", "state")
-    rho = operator_from_json(data, name="state")
-    basis_a = basis_from_json(_require(data, "record_basisA", "state"), name="record_basisA")
-    basis_b = basis_from_json(_require(data, "record_basisB", "state"), name="record_basisB")
+    rho = operator_from_json(data, "state")
+    basis_a = basis_from_json(_require(data, "record_basisA", "state"), "record_basisA")
+    basis_b = basis_from_json(_require(data, "record_basisB", "state"), "record_basisB")
     timers = _time_grid(data["timers"], "timers") if "timers" in data else None
     return EventState(kind=kind, rho=rho, basis_a=basis_a, basis_b=basis_b, timers=timers)
 
@@ -229,15 +228,12 @@ def _float_array_text(values: list) -> str:
     the double it parses to, so the text equals ``repr(float(f"{x:.12g}"))``
     once bare integers get their ".0".  Rows holding "n" (nan, inf), "e+1"
     (1e12 up to 1e16, where "%g" writes an exponent and repr does not) or
-    "e-3" (subnormals, whose repr can be shorter) take the per-number path.
+    "e-3" (subnormals, whose repr can be shorter) are written number by number
+    by :func:`_float_text`, which raises on the first non-finite one.
     """
     text = _row_format(len(values)) % tuple(values)
     if "n" in text or "e+1" in text or "e-3" in text:
-        text = ",".join(map(repr, map(float, map("{:.12g}".format, values))))
-        # A finite float's repr never holds an "n"; "nan" and "inf" do.
-        if "n" in text:
-            for x in values:
-                _float_text(x)
+        text = ",".join(map(_float_text, values))
     elif text.count(".") < len(values):
         # No token holds two dots, so some token lacks one: a bare integer,
         # which repr writes with ".0", or a form such as "1e-05", which it

@@ -570,10 +570,14 @@ def test_unreadable_paths_exit_one_and_undecodable_files_exit_two(capsys, tmp_pa
 
 
 def test_classical_corr_of_a_qutrit_first_record_exits_two(capsys, tmp_path):
+    # a TL qutrit with record coherence: the Fourier evolution between computational bases
     identity = {"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist(), "labels": [0.0, 1.0, 2.0]}
-    ket = {"re": [1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0]}
+    ket = {"re": [0.6, 0.48, 0.64], "im": [0.0, 0.0, 0.0]}
+    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    evolution = {"dim": 3, "re": fourier.real.tolist(), "im": fourier.imag.tolist()}
+    doc = {"kind": "TL", "initial": {"ket": ket}, "basisA": identity, "basisB": identity, "evolution": evolution}
     path = tmp_path / "qutrit.json"
-    path.write_text(json.dumps({"kind": "TL", "initial": {"ket": ket}, "basisA": identity, "basisB": identity}))
+    path.write_text(json.dumps(doc))
     code, out, err = _run(capsys, "classical-corr", str(path))
     assert (code, out) == (2, "")
     assert err == "error: first record is not a qubit; pass an explicit list of candidate measurements\n"
@@ -754,6 +758,77 @@ def test_integral_numbers_are_quoted_to_twelve_digits(capsys, tmp_path, path, va
     code, out, err = _run(capsys, "witness", str(file))
     assert (code, out, err) == (2, "", f"error: {line}\n")
     assert len(err) < 200
+
+
+_TIMED4 = dict(
+    _PLAIN_TL,
+    hamiltonian=_ZERO_H,
+    timing={"grid": _GRID4, "profileA": {"type": "delta"}, "profileB": {"type": "delta", "conditional": True}},
+)
+_RAW_MARGINAL = {"t0": 0.0, "dt": 0.5, "kind": "marginal", "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}
+
+
+@pytest.mark.parametrize(
+    ("flags", "path", "value", "line"),
+    [
+        (None, ("basisA",), {"theta": 0.3, "labels": [1, 1]}, "basisA: outcome labels must be distinct"),
+        (
+            None,
+            ("basisA",),
+            dict(_IDENTITY_BASIS, re=[[1, 0], [1, 0]]),
+            "basisA: basis is not orthonormal: defect 1.000e+00",
+        ),
+        (None, ("timing", "profileA", "bin"), 9, "timing.profileA: bin index 9 outside grid of 4 bins"),
+        (
+            None,
+            ("timing", "profileA"),
+            _RAW_MARGINAL,
+            "timing.profileA: marginal profile not normalized: mass 0.50000000",
+        ),
+        (
+            None,
+            ("timing", "grid"),
+            {"t0": 1e308, "dt": 1e308, "n_bins": 4},
+            "timing.grid: grid end t0 + dt * n_bins must be finite",
+        ),
+        ((), ("record_basisB", "labels"), [1.0, 1.0], "record_basisB: outcome labels must be distinct"),
+        (("--timed",), ("timers", "n_bins"), 1, "timers: n_bins must be at least 2, got 1"),
+        (("--timed",), ("timers", "dt"), 0, "timers: dt must be positive, got 0.0"),
+    ],
+    ids=["axis-labels", "explicit-rows", "delta-bin", "raw-profile", "grid-end", "state-labels", "n-bins", "dt"],
+)
+def test_constructor_refusals_exit_two_with_their_field(capsys, tmp_path, flags, path, value, line):
+    # a constructor's ValueError is worded "<field>: <message>", in a scenario or a state file
+    doc = _mutant(_TIMED4 if flags is None else _built_state(*flags), path, value)
+    file = tmp_path / "refused.json"
+    file.write_text(json.dumps(doc))
+    assert _run(capsys, "validate" if flags is None else "witness", str(file)) == (2, "", f"error: {line}\n")
+
+
+# The size of a matrix is checked before its spectrum: a wrong-sized one that is
+# no density matrix is refused for its size, as a density matrix is.
+_SPECTRA = pytest.mark.parametrize("spectrum", [[0.5, 0.5, 0.0], [2.0, -1.0, 0.0]], ids=["density", "not-density"])
+
+
+@_SPECTRA
+def test_a_wrong_sized_state_file_exits_two(capsys, tmp_path, spectrum):
+    rho = np.diag(spectrum + [0.0, 0.0, 0.0])
+    doc = dict(_built_state(), dim=6, re=rho.tolist(), im=np.zeros((6, 6)).tolist())
+    file = tmp_path / "six.state.json"
+    file.write_text(json.dumps(doc))
+    line = "error: state dimension 6 does not match bases/timers (4)\n"
+    for command in ("witness", "discriminate", "classical-corr"):
+        assert _run(capsys, command, str(file)) == (2, "", line)
+
+
+@_SPECTRA
+def test_a_wrong_sized_initial_density_exits_two(capsys, tmp_path, spectrum):
+    density = {"dim": 3, "re": np.diag(spectrum).tolist(), "im": np.zeros((3, 3)).tolist()}
+    file = tmp_path / "qutrit_density.json"
+    file.write_text(json.dumps(dict(_PLAIN_TL, initial={"density": density})))
+    line = "error: ordered events measure one system twice: need basis dims equal to state dim 3, got 2 and 2\n"
+    for command in ("validate", "build"):
+        assert _run(capsys, command, str(file)) == (2, "", line)
 
 
 def test_demo_appendix_e_exact_lines(capsys):

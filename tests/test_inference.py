@@ -19,12 +19,14 @@ from eventstates import (
     conditional_decomposition,
     determinism_check,
     find_deterministic_basis,
+    outcome_probabilities,
     helstrom_pure,
     helstrom_success,
     partial_trace,
     predict_future_outcome,
     reconstruct_from_decomposition,
     record_coherence,
+    shannon_entropy,
     von_neumann_entropy,
 )
 from eventstates.quantum_core import PAULI_X, PAULI_Y, PAULI_Z, projector
@@ -331,6 +333,23 @@ def test_large_first_records_need_explicit_bases():
     value = classical_correlation(state, measurements=candidates).bits
     bound = von_neumann_entropy(partial_trace(state.rho, (3, 3), keep="B"))
     assert -1e-9 <= value <= bound + 1e-9
+
+
+@pytest.mark.parametrize("da, db", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_large_commuting_first_records_need_no_candidates(da, db):
+    for seed in range(5):
+        state = build_sl_instant(random_sl_scenario(rng_for(seed), da, db, mixed=bool(seed % 2)))
+        p = outcome_probabilities(state)
+        mutual = shannon_entropy(p.sum(axis=0)) + shannon_entropy(p.sum(axis=1)) - shannon_entropy(p)
+        bits = classical_correlation(state).bits
+        assert bits == pytest.approx(mutual, abs=1e-12)
+        assert bits <= shannon_entropy(p.sum(axis=0)) + 1e-12
+
+
+def test_diagonal_ordered_qutrit_scores_zero_without_candidates():
+    computational = MeasurementModel.computational(3)
+    scenario = EventScenario(kind="TL", initial=np.eye(3)[0], basis_a=computational, basis_b=computational)
+    assert classical_correlation(build_tl_instant(scenario)).bits == 0.0
 
 
 def test_classical_correlation_wants_detector_only_states():

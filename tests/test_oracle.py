@@ -20,6 +20,7 @@ from eventstates import (
     classical_correlation,
     determinism_check,
     find_deterministic_basis,
+    outcome_probabilities,
     predict_future_outcome,
 )
 from eventstates.quantum_core import bloch_pair
@@ -78,3 +79,22 @@ def test_classical_correlation_meets_the_oracle_scan_and_stays_below_the_second_
     bits = classical_correlation(state).bits
     assert bits >= ref.scan_classical_correlation(oracle) - 1e-9
     assert bits <= ref.vn_entropy(ref.reduced_b(oracle, 2, 2)) + 1e-12
+
+
+def _mutual_information(p):
+    """I(A:B) in bits of a joint distribution p(a, b)."""
+    outer = np.outer(p.sum(axis=1), p.sum(axis=0))
+    live = p > 0.0
+    return float(np.sum(p[live] * np.log2(p[live] / outer[live])))
+
+
+@given(_SEEDS, st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_classical_correlation_of_sl_records_is_their_mutual_information(seed, mixed):
+    # SL records commute, so the record basis meets the Holevo bound and no search runs
+    state, oracle = _random_state(rng_for(seed), "SL", 2, 2, mixed)
+    report = classical_correlation(state)
+    assert report.bits == pytest.approx(_mutual_information(outcome_probabilities(state)), abs=1e-12)
+    assert report.bits >= ref.scan_classical_correlation(oracle) - 1e-12
+    np.testing.assert_array_equal(report.basis.kets, np.eye(2))
+    np.testing.assert_array_equal(report.basis.labels, state.basis_a.labels)
