@@ -35,6 +35,7 @@ from .inference import classical_correlation, determinism_check, predict_future_
 from .policy import MAX_BRANCHING_BINS, MAX_GRID_BINS, NumericsError, ScenarioError
 from .scenario import ScenarioFile, scenario_from_json, load_scenario
 from .serialize import (
+    _integral_text,
     canonical_dumps,
     chsh_report_to_json,
     load_json_file,
@@ -234,7 +235,7 @@ def _demo_decay(args) -> tuple[dict, list[str]]:
         ("covariance table", table_grid.n_bins, MAX_GRID_BINS),
     ):
         if bins > bound:
-            raise ScenarioError(f"demo decay: the {what} needs {bins} bins; the bound is {bound}")
+            raise ScenarioError(f"demo decay: the {what} needs {_integral_text(bins)} bins; the bound is {bound}")
     schedule = BranchingSchedule.constant(grid, gamma * dt)
     profile = exponential_profile(gamma, grid)
     err = continuum_limit_check(schedule, profile)

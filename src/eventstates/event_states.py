@@ -46,7 +46,7 @@ from .quantum_core import (
     assert_density,
     assert_unitary,
 )
-from .timing import EventTiming, JointTimeDistribution, TimeGrid, _check_arrangement
+from .timing import EventTiming, JointTimeDistribution, TimeGrid, TimingProfile, _check_arrangement
 
 __all__ = [
     "EventScenario",
@@ -288,6 +288,11 @@ def _require_kind(scenario: EventScenario, kind: str) -> None:
         raise ScenarioError(f"scenario does not describe {_PAIRS[kind]} events")
 
 
+def _state(source: EventScenario | EventState, rho: np.ndarray, timers: TimeGrid | None = None) -> EventState:
+    """Record state ``rho`` with the arrangement and bases of the scenario or state it comes from."""
+    return EventState(kind=source.kind, rho=rho, basis_a=source.basis_a, basis_b=source.basis_b, timers=timers)
+
+
 def _sl_state(scenario: EventScenario, effects_a: np.ndarray, effects_b: np.ndarray) -> EventState:
     """Diagonal state of p(a, b) = Tr[(E_a (x) E_b) rho] from effect stacks ``[a, j, J] = <J|E_a|j>``."""
     da, db = scenario.dims
@@ -295,7 +300,7 @@ def _sl_state(scenario: EventScenario, effects_a: np.ndarray, effects_b: np.ndar
     half = np.einsum("ajJ,jnJN->anN", effects_a, rho)
     probs = np.clip(np.real(np.einsum("anN,bnN->ab", half, effects_b)), 0.0, None)
     diag = np.diag(probs.reshape(da * db)).astype(complex)
-    return EventState(kind="SL", rho=diag, basis_a=scenario.basis_a, basis_b=scenario.basis_b)
+    return _state(scenario, diag)
 
 
 def build_sl_instant(scenario: EventScenario) -> EventState:
@@ -322,12 +327,7 @@ def build_tl_instant(scenario: EventScenario) -> EventState:
     rho_a = scenario.basis_a.kets.conj() @ rho_s @ scenario.basis_a.kets.T
     hops = scenario.basis_b.kets.conj() @ u @ scenario.basis_a.kets.T  # <b| U |a>, indexed [b, a]
     blocks = hops[:, :, None] * rho_a * hops[:, None, :].conj()
-    return EventState(
-        kind="TL",
-        rho=_block_diagonal_in_b(blocks),
-        basis_a=scenario.basis_a,
-        basis_b=scenario.basis_b,
-    )
+    return _state(scenario, _block_diagonal_in_b(blocks))
 
 
 def _require_timing(scenario: EventScenario) -> EventTiming:
@@ -355,6 +355,13 @@ def check_buildable(scenario: EventScenario) -> None:
         raise ScenarioError("time averaging needs a hamiltonian (a zero matrix is fine)")
 
 
+def _averaged_effects(basis: MeasurementModel, hamiltonian: np.ndarray, profile: TimingProfile) -> np.ndarray:
+    """Effects f_a = sum_k |chi(t_k)|^2 dt U(tau_k)^dagger |a><a| U(tau_k), stacked as ``[a, j, J] = <J|f_a|j>``."""
+    hops = np.einsum("ai,kij->kaj", basis.kets.conj(), _evolution_family(hamiltonian, profile.grid.offsets))
+    weights = np.abs(profile.amplitudes) ** 2 * profile.grid.dt
+    return np.einsum("k,kaj,kaJ->ajJ", weights, hops, hops.conj())
+
+
 def build_sl_fuzzy(scenario: EventScenario) -> EventState:
     """Record state for independent events averaged over their firing times.
 
@@ -365,16 +372,8 @@ def build_sl_fuzzy(scenario: EventScenario) -> EventState:
     _require_kind(scenario, "SL")
     timing = _require_timing(scenario)
     check_buildable(scenario)
-    grid = timing.grid
-    ua = _evolution_family(scenario.hamiltonian_a, grid.offsets)
-    ub = _evolution_family(scenario.hamiltonian_b, grid.offsets)
-    wa = np.abs(timing.profile_a.amplitudes) ** 2 * grid.dt
-    wb = np.abs(timing.profile_b.amplitudes) ** 2 * grid.dt
-    # fa[a] = sum_k wa_k U_a(tau_k)^dagger |a><a| U_a(tau_k), and fb alike.
-    ta = np.einsum("ai,kij->kaj", scenario.basis_a.kets.conj(), ua)
-    tb = np.einsum("bi,kij->kbj", scenario.basis_b.kets.conj(), ub)
-    fa = np.einsum("k,kaj,kaJ->ajJ", wa, ta, ta.conj())
-    fb = np.einsum("k,kbn,kbN->bnN", wb, tb, tb.conj())
+    fa = _averaged_effects(scenario.basis_a, scenario.hamiltonian_a, timing.profile_a)
+    fb = _averaged_effects(scenario.basis_b, scenario.hamiltonian_b, timing.profile_b)
     return _sl_state(scenario, fa, fb)
 
 
@@ -409,12 +408,7 @@ def build_tl_fuzzy(scenario: EventScenario) -> EventState:
     summed[0] += joint_w[-1, -1] * rho_rec[-1]
     hops = np.einsum("bi,gij,aj->gba", kb.conj(), ufam, ka)
     blocks = np.einsum("gba,gaA,gbA->baA", hops, summed, hops.conj())
-    return EventState(
-        kind="TL",
-        rho=_block_diagonal_in_b(blocks),
-        basis_a=scenario.basis_a,
-        basis_b=scenario.basis_b,
-    )
+    return _state(scenario, _block_diagonal_in_b(blocks))
 
 
 def build_timed_state(scenario: EventScenario) -> EventState:
@@ -468,13 +462,7 @@ def build_timed_state(scenario: EventScenario) -> EventState:
     forward = np.einsum("lbij,kajw->kalbiw", heis_b, heis_a @ psi)
     backward = np.einsum("kaij,lbjw->kalbiw", heis_a, heis_b @ psi)
     rows = (amp * np.where(later, forward, backward)).reshape(total, -1)
-    return EventState(
-        kind=scenario.kind,
-        rho=rows @ rows.conj().T,
-        basis_a=scenario.basis_a,
-        basis_b=scenario.basis_b,
-        timers=grid,
-    )
+    return _state(scenario, rows @ rows.conj().T, grid)
 
 
 def build_event_state(scenario: EventScenario) -> EventState:
@@ -496,7 +484,7 @@ def trace_out_timers(state: EventState) -> EventState:
     da, db = state.dims
     reduced = np.einsum("kalbkAlB->abAB", state._timed_tensor()).reshape(da * db, da * db)
     reduced = 0.5 * (reduced + reduced.conj().T)
-    return EventState(kind=state.kind, rho=reduced, basis_a=state.basis_a, basis_b=state.basis_b)
+    return _state(state, reduced)
 
 
 def timer_distribution(state: EventState) -> JointTimeDistribution:

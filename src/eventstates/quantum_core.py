@@ -137,9 +137,16 @@ def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
+def _spectrum(herm: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix: its diagonal in index order when every nonzero entry lies on it."""
+    diagonal = np.diagonal(herm)
+    if np.count_nonzero(herm) == np.count_nonzero(diagonal):
+        return diagonal.real
+    return np.linalg.eigvalsh(herm)
+
+
 def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:
-    herm = 0.5 * (rho + rho.conj().T)
-    vals = np.linalg.eigvalsh(herm)
+    vals = _spectrum(0.5 * (rho + rho.conj().T))
     if vals.min() < -PSD_TOL:
         raise NumericsError(f"operator is not positive semidefinite: min eigenvalue {vals.min():.3e}")
     return np.clip(vals, 0.0, None)
@@ -151,7 +158,7 @@ def shannon_entropy(probs) -> float:
     p = p[p > 0.0]
     if p.size == 0:
         return 0.0
-    return float(-(p @ np.log2(p)))
+    return 0.0 - float(p @ np.log2(p))  # 0.0, never -0.0, for a certain outcome
 
 
 def von_neumann_entropy(rho) -> float:
@@ -228,7 +235,7 @@ def validate_density(op) -> DensityCheck:
     trace_defect = float(abs(np.trace(mat) - 1.0))
     # Halve before adding: entries near the float maximum would overflow the
     # sum, and eigvalsh does not converge on infinite entries.
-    min_eig = float(np.linalg.eigvalsh(0.5 * mat + 0.5 * adjoint).min())
+    min_eig = float(_spectrum(0.5 * mat + 0.5 * adjoint).min())
     return DensityCheck(
         dim=mat.shape[0],
         hermiticity_defect=herm_defect,

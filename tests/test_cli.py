@@ -586,6 +586,14 @@ def test_classical_corr_of_a_qutrit_first_record_exits_two(capsys, tmp_path):
         classical_correlation(build_event_state(load_scenario(str(path)).scenario))
 
 
+def test_classical_corr_of_a_certain_second_record_is_positive_zero(capsys, tmp_path):
+    # |0> read in Sz twice: the second record is certain, so C_A is 0.0, never -0.0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(dict(_PLAIN_TL, initial={"ket": {"re": [1.0, 0.0], "im": [0.0, 0.0]}}, basisB="Sz")))
+    assert _run(capsys, "classical-corr", str(path), "--json") == (0, '{"classical_correlation_bits":0.0}\n', "")
+    assert _run(capsys, "classical-corr", str(path)) == (0, "C_A = 0.000000 bit\n", "")
+
+
 def test_build_prints_summary(capsys):
     code, out, err = _run(capsys, "build", _bundled("hadamard_tl.json"))
     assert code == 0
@@ -1101,8 +1109,10 @@ def test_raw_profile_of_single_numbers_exits_two(capsys, tmp_path):
         (["--gamma", "-1"], "decay rate must be positive and finite, got -1.0"),
         (["--dt", "nan"], "dt must be positive and finite, got nan"),
         (["--dt", "-0.5"], "dt must be positive and finite, got -0.5"),
+        (["--dt", "1e-300"], "the branching grid needs 1.3815510558e+301 bins; the bound is 1000000"),
+        (["--gamma", "1e-6"], "the branching grid needs 13815510558 bins; the bound is 1000000"),
     ],
-    ids=["nan-gamma", "infinite-gamma", "negative-gamma", "nan-dt", "negative-dt"],
+    ids=["nan-gamma", "infinite-gamma", "negative-gamma", "nan-dt", "negative-dt", "tiny-dt", "tiny-gamma"],
 )
 def test_demo_decay_states_the_decay_rate_rule_of_exponential_grid(capsys, flags, error):
     assert _run(capsys, "demo", "decay", *flags) == (2, "", f"error: demo decay: {error}\n")

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eventstates import (
+    DensityCheck,
     MeasurementModel,
     NumericsError,
     PAULI_X,
@@ -19,6 +22,7 @@ from eventstates import (
     validate_density,
     von_neumann_entropy,
 )
+from eventstates.policy import HERMITICITY_TOL, PSD_TOL, TRACE_TOL
 from eventstates.quantum_core import as_ket, assert_density, assert_unitary, is_unitary, projector
 
 from helpers import random_density, random_ket, random_unitary, rng_for
@@ -87,6 +91,7 @@ def test_entropy_known_values():
     # H(1/4, 3/4) = 2 - (3/4) log2 3
     expect = 2.0 - 0.75 * np.log2(3.0)
     assert shannon_entropy([0.25, 0.75]) == pytest.approx(expect, abs=1e-12)
+    assert math.copysign(1.0, shannon_entropy([1.0])) == 1.0
 
 
 @given(st.integers(0, 2_000))
@@ -164,6 +169,46 @@ def test_validate_density_reports_defects():
     assert not bad.trace_ok and not bad.ok
     with pytest.raises(NumericsError):
         assert_density(np.diag([1.2, -0.2]))
+
+
+def _eigvalsh_check(mat: np.ndarray) -> DensityCheck:
+    """validate_density's report with the minimum eigenvalue always taken from eigvalsh."""
+    adjoint = mat.conj().T
+    herm = float(np.max(np.abs(mat - adjoint)))
+    trace = float(abs(np.trace(mat) - 1.0))
+    low = float(np.linalg.eigvalsh(0.5 * mat + 0.5 * adjoint).min())
+    return DensityCheck(
+        dim=mat.shape[0],
+        hermiticity_defect=herm,
+        trace_defect=trace,
+        min_eigenvalue=low,
+        hermitian_ok=herm <= HERMITICITY_TOL,
+        trace_ok=trace <= TRACE_TOL,
+        psd_ok=low >= -PSD_TOL,
+    )
+
+
+def test_validate_density_of_a_diagonal_matches_eigvalsh():
+    # negative, complex (non-Hermitian), zero and signed-zero diagonals
+    diagonals = [[0.0, -0.0, 1.0], [-0.0, -0.0], [1.0, -1e-300, 0.0]]
+    for seed in range(12):
+        rng = rng_for(seed)
+        dim = int(rng.integers(1, 7))
+        real = rng.dirichlet(np.ones(dim)) if seed % 2 else rng.normal(size=dim)
+        entries = real + 1j * (rng.normal(size=dim) if seed % 3 == 0 else 0.0)
+        entries[rng.random(dim) < 0.3] = rng.choice([0.0, -0.0])
+        diagonals.append(entries)
+    for entries in diagonals:
+        mat = np.diag(np.asarray(entries, dtype=complex))
+        assert validate_density(mat) == _eigvalsh_check(mat)
+
+
+def test_one_tiny_off_diagonal_entry_takes_the_eigensolver():
+    mat = np.zeros((2, 2), dtype=complex)
+    mat[0, 1] = mat[1, 0] = 1e-300
+    check = validate_density(mat)
+    assert check == _eigvalsh_check(mat)
+    assert check.min_eigenvalue < 0.0  # the diagonal alone would read 0
 
 
 def test_unitary_checks():

@@ -8,6 +8,7 @@ from eventstates import (
     MeasurementModel,
     ScenarioError,
     TimeGrid,
+    build_sl_fuzzy,
     build_sl_instant,
     build_timed_state,
     build_tl_instant,
@@ -28,6 +29,7 @@ from helpers import (
     random_ket,
     random_marginal_profile,
     random_sl_scenario,
+    random_timed_sl_scenario,
     random_timed_tl_scenario,
     random_tl_scenario,
     rng_for,
@@ -47,6 +49,19 @@ def test_independent_pairs_carry_no_coherence(seed):
     report = coherence_witness(state)
     assert report.verdict == VERDICT_CLEAR
     assert report.witness == "record-coherence"
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize(
+    "make, build",
+    [(random_sl_scenario, build_sl_instant), (random_timed_sl_scenario, build_sl_fuzzy)],
+    ids=["sharp", "averaged"],
+)
+def test_independent_pairs_score_exactly_zero(make, build, seed):
+    rng = rng_for(seed)
+    da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    state = build(make(rng, da=da, db=db, mixed=bool(rng.integers(2))))
+    assert record_coherence(state) == 0.0
 
 
 def test_hadamard_pair_scores_exactly_one_bit():
