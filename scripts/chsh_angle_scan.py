@@ -34,6 +34,8 @@ def main():
     parser.add_argument("--points", type=int, default=181, help="samples across [-180, 180]")
     parser.add_argument("--out", default=None, help="CSV path (default: stdout)")
     args = parser.parse_args()
+    if args.points < 1:
+        parser.error(f"argument --points: must be at least 1, got {args.points}")
 
     rows = scan(args.points)
     fh = open(args.out, "w", newline="") if args.out else sys.stdout

@@ -22,14 +22,11 @@ from eventstates import (
 DEFAULT_STEPS = (3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
 
-def sweep(gamma, steps):
-    rows = []
-    for dt in steps:
-        grid = exponential_grid(gamma, dt)
-        schedule = BranchingSchedule.constant(grid, gamma * dt)
-        err = continuum_limit_check(schedule, exponential_profile(gamma, grid))
-        rows.append((dt, grid.n_bins, err, err / dt))
-    return rows
+def convergence_row(gamma, dt):
+    grid = exponential_grid(gamma, dt)
+    schedule = BranchingSchedule.constant(grid, gamma * dt)
+    err = continuum_limit_check(schedule, exponential_profile(gamma, grid))
+    return dt, grid.n_bins, err, err / dt
 
 
 def main():
@@ -42,7 +39,14 @@ def main():
     args = parser.parse_args()
 
     steps = args.dt if args.dt else DEFAULT_STEPS
-    rows = sweep(args.gamma, steps)
+    rows = []
+    for dt in steps:
+        # the library refuses a rate or step that is not positive and finite,
+        # and a per-bin probability gamma * dt outside [0, 1)
+        try:
+            rows.append(convergence_row(args.gamma, dt))
+        except ValueError as exc:
+            parser.error(f"--gamma {args.gamma:g} with --dt {dt:g}: {exc}")
 
     fh = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(fh)

@@ -40,7 +40,9 @@ from .policy import (
 from .quantum_core import (
     MeasurementModel,
     _assert_hermitian,
+    _density_check,
     _readonly,
+    _require_density,
     as_ket,
     as_operator,
     assert_density,
@@ -203,6 +205,18 @@ class EventState:
     Timer-register states carry ``timers`` and live on
     (timer_a x record_a) x (timer_b x record_b), with the row index laid out
     as ``((k * da + a) * n + l) * db + b`` for timer bins k, l.
+
+    ``rho`` is validated once, on construction.  A diagonal ``rho`` (every
+    SL build) is checked entry by entry.  A detector-space ``rho`` whose
+    nonzero entries all lie in its second-record blocks (every sharp and
+    time-averaged TL build, which write exact zeros elsewhere, and a state
+    file of one) is checked block by block, with one batched eigensolve.
+    Any other ``rho``, and a timer-register one that is not diagonal, takes
+    one dense eigensolve.  The clamped spectrum found is kept as
+    ``_spectrum`` for :func:`~eventstates.witnesses.record_coherence`, and
+    ``_in_blocks`` records whether either cut held, so that
+    :func:`conditional_decomposition` need not scan for cross-record
+    coherence.
     """
 
     kind: Literal["SL", "TL"]
@@ -220,7 +234,13 @@ class EventState:
             expect *= self.timers.n_bins**2
         if rho.shape[0] != expect:
             raise ScenarioError(f"state dimension {rho.shape[0]} does not match bases/timers ({expect})")
-        object.__setattr__(self, "rho", _readonly(assert_density(rho, name="event state")))
+        check, spectrum, in_blocks = _density_check(rho, db if self.timers is None else 1)
+        _require_density(check, "event state")
+        spectrum = np.clip(spectrum, 0.0, None)
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "rho", _readonly(rho))
+        object.__setattr__(self, "_spectrum", spectrum)
+        object.__setattr__(self, "_in_blocks", in_blocks)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -246,13 +266,14 @@ class EventState:
         """The split behind :func:`conditional_decomposition`, made once: ``rho`` is read-only."""
         da, db = self.dims
         four = self.detector_rho.reshape(da, db, da, db)
-        off_diagonal = ~np.eye(db, dtype=bool)
-        cross = float(np.max(np.max(np.abs(four), axis=(0, 2))[off_diagonal], initial=0.0))
-        if cross > HERMITICITY_TOL:
-            raise NumericsError(
-                f"state carries coherence between second-record values (max {cross:.3e}); "
-                "it does not decompose by that record"
-            )
+        if not self._in_blocks:  # else validation found every cross-record entry zero
+            off_diagonal = ~np.eye(db, dtype=bool)
+            cross = float(np.max(np.max(np.abs(four), axis=(0, 2))[off_diagonal], initial=0.0))
+            if cross > HERMITICITY_TOL:
+                raise NumericsError(
+                    f"state carries coherence between second-record values (max {cross:.3e}); "
+                    "it does not decompose by that record"
+                )
 
         blocks = np.einsum("abAb->baA", four)
         probs = np.real(np.einsum("baa->b", blocks))

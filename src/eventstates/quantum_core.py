@@ -137,16 +137,44 @@ def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
+def _pieces(mat: np.ndarray, db: int = 1) -> np.ndarray:
+    """``mat`` as a stack of diagonal blocks that hold all its nonzero entries.
+
+    The first exact rule that holds picks the cut.  When every nonzero entry
+    lies on the diagonal, the pieces are the diagonal entries, 1 x 1, in
+    index order.  Otherwise, for ``db > 1``, when every nonzero entry lies
+    in the ``db`` second-record blocks ``mat.reshape(da, db, da, db)[:, b, :, b]``,
+    the pieces are those blocks, as one ``(db, da, da)`` stack.  Otherwise,
+    however small the entry outside, the whole matrix is the one piece.
+    Each cut is closed under transposition, so the adjoint and the
+    Hermitian part of ``mat`` are zero off the same pieces.
+    """
+    nonzero = np.count_nonzero(mat)
+    diagonal = np.diagonal(mat)
+    if nonzero == np.count_nonzero(diagonal):
+        return diagonal[:, None, None]
+    if db > 1:
+        da, idx = mat.shape[0] // db, np.arange(db)
+        blocks = mat.reshape(da, db, da, db)[:, idx, :, idx]
+        if nonzero == np.count_nonzero(blocks):
+            return blocks
+    return mat[None]
+
+
 def _spectrum(herm: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix: its diagonal in index order when every nonzero entry lies on it."""
-    diagonal = np.diagonal(herm)
-    if np.count_nonzero(herm) == np.count_nonzero(diagonal):
-        return diagonal.real
-    return np.linalg.eigvalsh(herm)
+    """Eigenvalues of a Hermitian matrix given as its :func:`_pieces` stack, piece after piece.
+
+    A block-diagonal matrix's spectrum is the union of its blocks' spectra,
+    so this is one batched ``eigvalsh`` of the stack, and for 1 x 1 pieces
+    (a diagonal matrix) their real parts in index order, with no eigensolve.
+    """
+    if herm.shape[-1] == 1:
+        return herm[:, 0, 0].real
+    return np.linalg.eigvalsh(herm).ravel()
 
 
 def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:
-    vals = _spectrum(0.5 * (rho + rho.conj().T))
+    vals = _spectrum(_pieces(0.5 * (rho + rho.conj().T)))
     if vals.min() < -PSD_TOL:
         raise NumericsError(f"operator is not positive semidefinite: min eigenvalue {vals.min():.3e}")
     return np.clip(vals, 0.0, None)
@@ -227,16 +255,23 @@ class DensityCheck:
         return self.hermitian_ok and self.trace_ok and self.psd_ok
 
 
-def validate_density(op) -> DensityCheck:
-    """Report how far ``op`` is from being a valid density matrix."""
-    mat = as_operator(op, name="operator")
-    adjoint = mat.conj().T
-    herm_defect = float(np.max(np.abs(mat - adjoint)))
+def _density_check(mat: np.ndarray, db: int = 1) -> tuple[DensityCheck, np.ndarray, bool]:
+    """:class:`DensityCheck` of a coerced operator, run on its :func:`_pieces`.
+
+    Off the pieces ``mat`` and its adjoint are both zero, so the Hermiticity
+    defect and the spectrum of the Hermitian part are the pieces'.  Also
+    returns that spectrum, and whether the cut found smaller pieces than
+    the whole matrix.
+    """
+    pieces = _pieces(mat, db)
+    adjoint = pieces.conj().swapaxes(-1, -2)
+    herm_defect = float(np.max(np.abs(pieces - adjoint)))
     trace_defect = float(abs(np.trace(mat) - 1.0))
     # Halve before adding: entries near the float maximum would overflow the
     # sum, and eigvalsh does not converge on infinite entries.
-    min_eig = float(_spectrum(0.5 * mat + 0.5 * adjoint).min())
-    return DensityCheck(
+    vals = _spectrum(0.5 * pieces + 0.5 * adjoint)
+    min_eig = float(vals.min())
+    check = DensityCheck(
         dim=mat.shape[0],
         hermiticity_defect=herm_defect,
         trace_defect=trace_defect,
@@ -245,12 +280,16 @@ def validate_density(op) -> DensityCheck:
         trace_ok=trace_defect <= TRACE_TOL,
         psd_ok=min_eig >= -PSD_TOL,
     )
+    return check, vals, pieces.shape[-1] < mat.shape[0]
 
 
-def assert_density(op, *, name: str = "state") -> np.ndarray:
-    """Validate ``op`` as a density matrix, raising :class:`NumericsError` on failure."""
-    mat = as_operator(op, name=name)
-    check = validate_density(mat)
+def validate_density(op) -> DensityCheck:
+    """Report how far ``op`` is from being a valid density matrix."""
+    return _density_check(as_operator(op, name="operator"))[0]
+
+
+def _require_density(check: DensityCheck, name: str) -> None:
+    """Raise :class:`NumericsError` naming ``name`` unless ``check`` passed."""
     if not check.ok:
         raise NumericsError(
             f"{name} is not a valid density matrix: "
@@ -258,6 +297,12 @@ def assert_density(op, *, name: str = "state") -> np.ndarray:
             f"trace defect {check.trace_defect:.3e}, "
             f"min eigenvalue {check.min_eigenvalue:.3e}"
         )
+
+
+def assert_density(op, *, name: str = "state") -> np.ndarray:
+    """Validate ``op`` as a density matrix, raising :class:`NumericsError` on failure."""
+    mat = as_operator(op, name=name)
+    _require_density(validate_density(mat), name)
     return mat
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .event_states import EventState
 from .policy import CHEBYSHEV_SLACK, COHERENCE_FLOOR_BITS, TIME_CORRELATION_FLOOR
-from .quantum_core import relative_entropy_of_coherence
+from .quantum_core import shannon_entropy
 from .timing import JointTimeDistribution
 
 __all__ = [
@@ -53,10 +53,14 @@ class WitnessReport:
 def record_coherence(state: EventState) -> float:
     """Coherence (in bits) the record state carries in the record basis.
 
-    Measured as the entropy gained by dephasing in the joint record basis.
-    Diagonal states score exactly zero; timer-register states raise.
+    Measured as the entropy gained by dephasing in the joint record basis,
+    ``max(H(diag rho) - S(rho), 0)``, with ``S(rho)`` read from the spectrum
+    the state's validation found (block by block for ordered pairs), so no
+    second eigensolve runs.  Diagonal states score exactly zero;
+    timer-register states raise.
     """
-    return relative_entropy_of_coherence(state.detector_rho, basis=None)
+    populations = np.clip(np.real(np.diag(state.detector_rho)), 0.0, None)
+    return max(shannon_entropy(populations) - shannon_entropy(state._spectrum), 0.0)
 
 
 def coherence_witness(state: EventState) -> WitnessReport:

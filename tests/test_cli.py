@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eventstates import (
+    EventState,
+    MeasurementModel,
     ScenarioError,
     TimeGrid,
     build_event_state,
@@ -942,6 +944,19 @@ def test_warnings_print_as_one_line_each_before_the_error(tmp_path):
     assert "grid is coarse" in lines[0]
     assert "truncates" in lines[1]
     assert lines[2].startswith("error: timing.profileB:")
+
+
+def test_discriminate_refuses_a_state_file_with_cross_record_coherence(capsys, tmp_path):
+    # a Bell state is Hermitian and PSD, so it loads; it does not split by the second record
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
+    sz = MeasurementModel.sz()
+    path = tmp_path / "bell.state.json"
+    save_state(str(path), EventState(kind="TL", rho=bell, basis_a=sz, basis_b=sz))
+    code, out, err = _run(capsys, "discriminate", str(path), "--json")
+    assert code == 3
+    assert out == ""
+    assert "coherence between second-record values" in err
 
 
 def test_module_entry_point_runs():

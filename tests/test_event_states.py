@@ -790,6 +790,25 @@ def test_decomposition_rejects_cross_record_coherence():
         conditional_decomposition(state)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_split_of_a_block_state_matches_the_scanned_split(seed):
+    # one 1e-300 pair off the blocks sends validation to the dense eigensolver and
+    # the split through its cross-record scan; the blocks it reads are the same
+    rng = rng_for(seed)
+    dim, mixed = int(rng.integers(2, 5)), bool(rng.integers(2))
+    if seed % 2:
+        state = build_tl_fuzzy(random_timed_tl_scenario(rng, dim=dim, mixed=mixed))
+    else:
+        state = build_tl_instant(random_tl_scenario(rng, dim, mixed=mixed))
+    rho = np.array(state.rho)
+    rho[0, 1] = rho[1, 0] = 1e-300
+    scanned = EventState(kind="TL", rho=rho, basis_a=state.basis_a, basis_b=state.basis_b)
+    assert state._in_blocks and not scanned._in_blocks
+    block, scan = conditional_decomposition(state), conditional_decomposition(scanned)
+    np.testing.assert_array_equal(block.probs, scan.probs)
+    np.testing.assert_array_equal(block.sigmas, scan.sigmas)
+
+
 def test_fuzzy_tl_conditionals_can_be_mixed():
     rng = rng_for(55)
     sc = random_timed_tl_scenario(rng, n_bins=4)

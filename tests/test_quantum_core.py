@@ -23,7 +23,7 @@ from eventstates import (
     von_neumann_entropy,
 )
 from eventstates.policy import HERMITICITY_TOL, PSD_TOL, TRACE_TOL
-from eventstates.quantum_core import as_ket, assert_density, assert_unitary, is_unitary, projector
+from eventstates.quantum_core import _density_check, as_ket, assert_density, assert_unitary, is_unitary, projector
 
 from helpers import random_density, random_ket, random_unitary, rng_for
 
@@ -209,6 +209,67 @@ def test_one_tiny_off_diagonal_entry_takes_the_eigensolver():
     check = validate_density(mat)
     assert check == _eigvalsh_check(mat)
     assert check.min_eigenvalue < 0.0  # the diagonal alone would read 0
+
+
+def _block_state(blocks: np.ndarray) -> np.ndarray:
+    """sum_b blocks[b] (x) |b><b| on record_a x record_b, written entry by entry."""
+    db, da = blocks.shape[:2]
+    mat = np.zeros((da * db, da * db), dtype=complex)
+    for b in range(db):
+        mat[b::db, b::db] = blocks[b]
+    return mat
+
+
+def _random_blocks(rng, da: int, db: int) -> np.ndarray:
+    probs = rng.dirichlet(np.ones(db))
+    return np.stack([p * random_density(rng, da, rank=int(rng.integers(1, da + 1))) for p in probs])
+
+
+@pytest.mark.parametrize("fault", ["none", "negative-block", "non-hermitian-block"])
+@pytest.mark.parametrize("seed", range(8))
+def test_block_check_matches_eigvalsh(seed, fault):
+    rng = rng_for(seed)
+    da, db = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+    blocks = _random_blocks(rng, da, db)
+    b = int(rng.integers(db))
+    if fault == "negative-block":
+        blocks[b] -= 0.01 * np.eye(da)
+    elif fault == "non-hermitian-block":
+        blocks[b, 0, 1] += 1e-3
+    mat = _block_state(blocks)
+    check, vals, in_blocks = _density_check(mat, db)
+    dense = _eigvalsh_check(mat)
+    assert in_blocks
+    assert (check.hermitian_ok, check.trace_ok, check.psd_ok) == (dense.hermitian_ok, dense.trace_ok, dense.psd_ok)
+    assert check.ok == (fault == "none")
+    assert (check.hermiticity_defect, check.trace_defect) == (dense.hermiticity_defect, dense.trace_defect)
+    assert abs(check.min_eigenvalue - dense.min_eigenvalue) <= 1e-14
+    herm = 0.5 * mat + 0.5 * mat.conj().T
+    np.testing.assert_allclose(np.sort(vals), np.linalg.eigvalsh(herm), rtol=0.0, atol=1e-14)
+    # the public check keeps the dense eigensolver
+    assert validate_density(mat) == dense
+
+
+def test_one_tiny_entry_off_the_blocks_takes_the_eigensolver():
+    da, db = 3, 2
+    mat = _block_state(_random_blocks(rng_for(3), da, db))
+    mat[0, 1] = mat[1, 0] = 1e-300  # records (a, b) = (0, 0) and (0, 1)
+    check, vals, in_blocks = _density_check(mat, db)
+    assert not in_blocks
+    assert check == _eigvalsh_check(mat)
+    np.testing.assert_array_equal(vals, np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.conj().T))
+
+
+def test_a_diagonal_takes_the_diagonal_rule_before_the_blocks():
+    rng = rng_for(4)
+    for da, db in ((2, 2), (3, 4), (5, 1)):
+        probs = rng.dirichlet(np.ones(da * db))
+        probs[rng.random(da * db) < 0.3] = 0.0
+        mat = np.diag(probs / probs.sum()).astype(complex)
+        check, vals, in_blocks = _density_check(mat, db)
+        assert in_blocks
+        assert check == _eigvalsh_check(mat)
+        np.testing.assert_array_equal(vals, np.diagonal(mat).real)
 
 
 def test_unitary_checks():

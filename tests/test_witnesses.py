@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,9 @@ from eventstates import (
     build_sl_fuzzy,
     build_sl_instant,
     build_timed_state,
+    build_tl_fuzzy,
     build_tl_instant,
+    canonical_dumps,
     chebyshev_check,
     coherence_witness,
     conditional_mean_arrival,
@@ -20,8 +24,12 @@ from eventstates import (
     exponential_profile,
     joint_time_distribution,
     record_coherence,
+    relative_entropy_of_coherence,
+    state_from_json,
+    state_to_json,
     time_correlation,
     time_witness,
+    trace_out_timers,
 )
 from eventstates.witnesses import VERDICT_CLEAR, VERDICT_SIGNATURE
 
@@ -51,6 +59,10 @@ def test_independent_pairs_carry_no_coherence(seed):
     assert report.witness == "record-coherence"
 
 
+def _read_back(state):
+    return state_from_json(json.loads(canonical_dumps(state_to_json(state))))
+
+
 @pytest.mark.parametrize("seed", range(20))
 @pytest.mark.parametrize(
     "make, build",
@@ -62,6 +74,27 @@ def test_independent_pairs_score_exactly_zero(make, build, seed):
     da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     state = build(make(rng, da=da, db=db, mixed=bool(rng.integers(2))))
     assert record_coherence(state) == 0.0
+    assert record_coherence(_read_back(state)) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng, dim: build_tl_instant(random_tl_scenario(rng, dim, mixed=bool(rng.integers(2)))),
+        lambda rng, dim: build_tl_fuzzy(random_timed_tl_scenario(rng, dim=dim, mixed=bool(rng.integers(2)))),
+        lambda rng, dim: trace_out_timers(build_timed_state(random_timed_tl_scenario(rng, n_bins=2, dim=dim))),
+    ],
+    ids=["sharp", "averaged", "timers-traced-out"],
+)
+def test_ordered_coherence_reads_the_validated_spectrum(make, seed):
+    # the spectrum kept by validation gives the dense relative entropy of coherence
+    rng = rng_for(seed)
+    state = make(rng, int(rng.integers(2, 5)))
+    da, db = state.dims
+    assert state._spectrum.shape == (da * db,) and not state._spectrum.flags.writeable
+    for each in (state, _read_back(state)):
+        assert abs(record_coherence(each) - relative_entropy_of_coherence(each.rho)) <= 1e-12
 
 
 def test_hadamard_pair_scores_exactly_one_bit():
