@@ -32,10 +32,10 @@ from .event_states import (
     timer_distribution,
 )
 from .inference import classical_correlation, determinism_check, predict_future_outcome
-from .policy import MAX_BRANCHING_BINS, MAX_GRID_BINS, NumericsError, ScenarioError
+from .policy import MAX_GRID_BINS, NumericsError, ScenarioError, _integral_text
 from .scenario import ScenarioFile, scenario_from_json, load_scenario
 from .serialize import (
-    _integral_text,
+    _worded,
     canonical_dumps,
     chsh_report_to_json,
     load_json_file,
@@ -45,7 +45,6 @@ from .serialize import (
 )
 from .timing import (
     BranchingSchedule,
-    JointTimeDistribution,
     continuum_limit_check,
     exponential_conditional,
     exponential_grid,
@@ -79,8 +78,11 @@ def _detector_state(state: EventState | None, loaded: ScenarioFile | None) -> Ev
     return state
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if args.json:
+def _emit(args, payload: dict, lines: list[str], rows: list[list] | None = None) -> None:
+    """Print ``rows`` as CSV under ``--csv``, else ``payload`` under ``--json``, else ``lines``."""
+    if rows is not None and args.csv:
+        csv.writer(sys.stdout).writerows(rows)
+    elif args.json:
         print(canonical_dumps(payload))
     else:
         for line in lines:
@@ -134,27 +136,17 @@ def _cmd_witness(args) -> int:
         if state is not None and state.timers is not None:
             reports.append(time_witness(timer_distribution(state)))
         elif state is None and loaded.scenario.timing is not None:
-            timing = loaded.scenario.timing
             # no name holds the n x n table, so it is freed before the record build forms its own
-            reports.append(time_witness(JointTimeDistribution(timing.grid, timing.kind, timing.cell_masses())))
+            reports.append(time_witness(loaded.scenario.timing.distribution()))
         elif args.kind == "timecorr":
             raise ScenarioError(f"{args.path}: no timing information for the {args.kind} witness")
     if args.kind != "timecorr":
         reports.insert(0, coherence_witness(_detector_state(state, loaded)))
 
-    if args.csv:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["witness", "value", "verdict"])
-        for rep in reports:
-            writer.writerow([rep.witness, f"{rep.value:.12g}", rep.verdict])
-    else:
-        payload = {
-            "witnesses": [
-                {"witness": r.witness, "value": r.value, "verdict": r.verdict} for r in reports
-            ]
-        }
-        lines = [f"{r.witness}: value = {r.value:.6g}, verdict = {r.verdict}" for r in reports]
-        _emit(args, payload, lines)
+    payload = {"witnesses": [{"witness": r.witness, "value": r.value, "verdict": r.verdict} for r in reports]}
+    lines = [f"{r.witness}: value = {r.value:.6g}, verdict = {r.verdict}" for r in reports]
+    rows = [["witness", "value", "verdict"]] + [[r.witness, f"{r.value:.12g}", r.verdict] for r in reports]
+    _emit(args, payload, lines, rows)
     return 0
 
 
@@ -201,15 +193,11 @@ def _chsh_output(loaded: ScenarioFile):
 
 def _cmd_chsh(args) -> int:
     report, payload, lines = _chsh_output(load_scenario(args.scenario))
-    if args.csv:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["E_ab", "E_abp", "E_apb", "E_apbp", "S", "tsirelson_ok"])
-        writer.writerow(
-            [f"{e:.12g}" for e in report.correlators]
-            + [f"{report.value:.12g}", str(report.tsirelson_ok).lower()]
-        )
-        return 0
-    _emit(args, payload, lines)
+    rows = [
+        ["E_ab", "E_abp", "E_apb", "E_apbp", "S", "tsirelson_ok"],
+        [f"{e:.12g}" for e in report.correlators] + [f"{report.value:.12g}", str(report.tsirelson_ok).lower()],
+    ]
+    _emit(args, payload, lines, rows)
     return 0
 
 
@@ -220,23 +208,18 @@ def _demo_scenario(name: str) -> ScenarioFile:
 
 def _demo_decay(args) -> tuple[dict, list[str]]:
     gamma, dt = args.gamma, args.dt
-    # Both grids are sized and bounded before any array is made; exponential_grid
-    # refuses a rate or step that is not positive and finite.  The covariance
-    # table steps at most 0.02 mean lifetimes (gamma * step <= 0.02).
-    try:
-        grid = exponential_grid(gamma, dt)
-        table_grid = exponential_grid(gamma, min(max(dt, 0.02), 0.02 / gamma))
-    except ValueError as exc:
-        raise ScenarioError(f"demo decay: {exc}") from None
+    # Both grids are sized before any array is made, and each is bounded before
+    # its own arrays are (BranchingSchedule.constant bounds the branching grid);
+    # exponential_grid refuses a rate or step that is not positive and finite.
+    # The covariance table steps at most 0.02 mean lifetimes (gamma * step <= 0.02).
+    grid = _worded("demo decay", exponential_grid, gamma, dt)
+    table_grid = _worded("demo decay", exponential_grid, gamma, min(max(dt, 0.02), 0.02 / gamma))
     if gamma * dt >= 1.0:
         raise ScenarioError(f"gamma * dt = {gamma * dt:.3g} >= 1; no per-bin probability exists")
-    for what, bins, bound in (
-        ("branching grid", grid.n_bins, MAX_BRANCHING_BINS),
-        ("covariance table", table_grid.n_bins, MAX_GRID_BINS),
-    ):
-        if bins > bound:
-            raise ScenarioError(f"demo decay: the {what} needs {_integral_text(bins)} bins; the bound is {bound}")
-    schedule = BranchingSchedule.constant(grid, gamma * dt)
+    schedule = _worded("demo decay", BranchingSchedule.constant, grid, gamma * dt)
+    if table_grid.n_bins > MAX_GRID_BINS:
+        bins = _integral_text(table_grid.n_bins)
+        raise ScenarioError(f"demo decay: the covariance table needs {bins} bins; the bound is {MAX_GRID_BINS}")
     profile = exponential_profile(gamma, grid)
     err = continuum_limit_check(schedule, profile)
 
@@ -245,7 +228,9 @@ def _demo_decay(args) -> tuple[dict, list[str]]:
         exponential_conditional(gamma, table_grid),
         "TL",
     )
-    witness = time_witness(table)
+    # an overflowing covariance is refused just below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        witness = time_witness(table)
     continuum = 1.0 / gamma / gamma
     if not (math.isfinite(witness.value) and math.isfinite(continuum)):
         raise NumericsError(f"demo decay: the time covariance overflows at gamma = {gamma:g}")

@@ -212,7 +212,7 @@ class EventState:
     time-averaged TL build, which write exact zeros elsewhere, and a state
     file of one) is checked block by block, with one batched eigensolve.
     Any other ``rho``, and a timer-register one that is not diagonal, takes
-    one dense eigensolve.  The clamped spectrum found is kept as
+    one dense eigensolve.  The spectrum found is kept as
     ``_spectrum`` for :func:`~eventstates.witnesses.record_coherence`, and
     ``_in_blocks`` records whether either cut held, so that
     :func:`conditional_decomposition` need not scan for cross-record
@@ -236,7 +236,6 @@ class EventState:
             raise ScenarioError(f"state dimension {rho.shape[0]} does not match bases/timers ({expect})")
         check, spectrum, in_blocks = _density_check(rho, db if self.timers is None else 1)
         _require_density(check, "event state")
-        spectrum = np.clip(spectrum, 0.0, None)
         spectrum.setflags(write=False)
         object.__setattr__(self, "rho", _readonly(rho))
         object.__setattr__(self, "_spectrum", spectrum)

@@ -27,6 +27,7 @@ from .event_states import EventState, conditional_decomposition
 from .policy import DETERMINISM_TOL, EIGENVALUE_FLOOR, EMPTY_BLOCK_FLOOR, PRIOR_SUM_TOL, ScenarioError
 from .quantum_core import (
     MeasurementModel,
+    _pieces,
     as_ket,
     assert_unitary,
     bloch_pair,
@@ -227,7 +228,7 @@ def classical_correlation(
     rho_b = partial_trace(rho, (da, db), keep="B")
     entropy_b = von_neumann_entropy(rho_b)
 
-    if measurements is None and np.array_equal(rho, np.diag(rho.diagonal())):
+    if measurements is None and _pieces(rho).shape[-1] == 1:
         measurements = [MeasurementModel.from_kets(np.eye(da), state.basis_a.labels)]
     if measurements is not None:
         values = _holevo_like(rho4, np.stack([m.kets for m in measurements]), entropy_b)

@@ -1,4 +1,4 @@
-"""Shared numeric tolerances and error types.
+"""Shared numeric tolerances, error types, and how messages quote counts.
 
 Every validation step in the package reads its thresholds from the module
 constants below, so each tolerance is stated once.  The values match the
@@ -6,6 +6,8 @@ contracts asserted by the test suite.
 """
 
 from __future__ import annotations
+
+from decimal import Context, Decimal
 
 __all__ = ["NumericsError", "ScenarioError"]
 
@@ -18,9 +20,16 @@ class NumericsError(ValueError):
     """A numerical invariant (normalization, unitarity, positivity) failed."""
 
 
+def _integral_text(value: int | float) -> str:
+    """``value`` as a message quotes it: whole up to 12 digits, to 12 significant ones beyond ("1e+308")."""
+    if abs(value) < 10**12:
+        return str(value)
+    return format(Decimal(int(value)).normalize(Context(prec=12)), "g")
+
+
 # Density-matrix validation: max Hermiticity defect, trace defect, and the
-# most negative eigenvalue tolerated (values in [-PSD_TOL, 0) are clamped to
-# 0 before entropies are taken).
+# most negative eigenvalue tolerated (values in [-PSD_TOL, 0) add nothing
+# to entropies, which skip weights at or below zero).
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -55,7 +64,8 @@ CHEBYSHEV_SLACK = 1e-9
 # Most bins (grid size or delta lag) a scenario file may ask for; a
 # conditional profile holds n_bins^2 complex amplitudes.
 MAX_GRID_BINS = 4096
-# Most bins of the O(n) branching grid of ``eventstates demo decay``; the
-# default demo uses 13,816, and a run at the bound takes about 1 s and
+# Most bins of a constant branching schedule (``BranchingSchedule.constant``,
+# which ``eventstates demo decay`` and ``scripts/decay_convergence.py`` build);
+# the default demo uses 13,816, and a run at the bound takes about 1 s and
 # 165 MB peak RSS.
 MAX_BRANCHING_BINS = 1_000_000

@@ -173,13 +173,6 @@ def _spectrum(herm: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(herm).ravel()
 
 
-def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:
-    vals = _spectrum(_pieces(0.5 * (rho + rho.conj().T)))
-    if vals.min() < -PSD_TOL:
-        raise NumericsError(f"operator is not positive semidefinite: min eigenvalue {vals.min():.3e}")
-    return np.clip(vals, 0.0, None)
-
-
 def shannon_entropy(probs) -> float:
     """Shannon entropy in bits of a nonnegative weight vector (zeros ignored)."""
     p = np.asarray(probs, dtype=float)
@@ -190,9 +183,12 @@ def shannon_entropy(probs) -> float:
 
 
 def von_neumann_entropy(rho) -> float:
-    """Spectral entropy of a density matrix, in bits."""
+    """Spectral entropy of a density matrix (of its Hermitian part), in bits."""
     mat = as_operator(rho, name="rho")
-    return shannon_entropy(_clamped_spectrum(mat))
+    check, vals, _ = _density_check(0.5 * (mat + mat.conj().T))
+    if not check.psd_ok:
+        raise NumericsError(f"operator is not positive semidefinite: min eigenvalue {check.min_eigenvalue:.3e}")
+    return shannon_entropy(vals)
 
 
 def trace_distance(rho, sigma) -> float:
@@ -234,7 +230,7 @@ def relative_entropy_of_coherence(rho, basis: MeasurementModel | None = None) ->
     """
     mat = as_operator(rho, name="rho")
     probs = np.real(_populations(mat, basis))
-    value = shannon_entropy(np.clip(probs, 0.0, None)) - von_neumann_entropy(mat)
+    value = shannon_entropy(probs) - von_neumann_entropy(mat)
     return max(value, 0.0)
 
 

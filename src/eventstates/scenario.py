@@ -54,13 +54,11 @@ __all__ = ["ScenarioFile", "scenario_from_json", "load_scenario", "schema"]
 def schema() -> dict:
     """The JSON schema scenario files are validated against.
 
-    It is read from the package and meta-checked against draft 07 once per
-    process, on first use.
+    It is read from the package once per process, on first use.  It ships
+    with the package, so its validity as a draft-07 schema is pinned by the
+    test suite, not meta-checked at run time.
     """
-    text = resources.files("eventstates").joinpath("data/scenario.schema.json").read_text()
-    packaged = json.loads(text)
-    jsonschema.Draft7Validator.check_schema(packaged)
-    return packaged
+    return json.loads(resources.files("eventstates").joinpath("data/scenario.schema.json").read_text())
 
 
 # Draft 07's type names and the values each takes, as its type checker has
@@ -152,8 +150,10 @@ def _validator_class() -> type:
 
     Its ``iter_errors`` yields nothing when the walk accepts the instance;
     when the walk refuses it, draft 07's own pass runs, so every refusal is
-    worded as the plain pass words it.  Its ``check_schema`` does nothing:
-    the one schema it is given, :func:`schema`, is meta-checked there.
+    worded as the plain pass words it.  Its ``check_schema``, which
+    ``jsonschema.validate`` calls on every scenario, does nothing: the one
+    schema it is given, :func:`schema`, is the packaged one, which the test
+    suite meta-checks.
     """
     cls = jsonschema.validators.extend(jsonschema.Draft7Validator, {})
     draft7_iter_errors = cls.iter_errors
@@ -258,10 +258,10 @@ def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
     """Validate and build a scenario from already-parsed JSON.
 
     ``data`` is checked first by one ``jsonschema.validate`` call against
-    the packaged draft-07 schema, which is meta-checked once per process,
-    not once per call.  A boolean walk of the schema decides acceptance of
-    any value; draft 07's own pass runs only to word a refusal, so verdicts
-    and messages are the plain pass's.
+    the packaged draft-07 schema, which is not meta-checked at run time
+    (the test suite checks it).  A boolean walk of the schema decides
+    acceptance of any value; draft 07's own pass runs only to word a
+    refusal, so verdicts and messages are the plain pass's.
     """
     try:
         jsonschema.validate(data, schema(), cls=_validator_class())

@@ -15,14 +15,13 @@ import itertools
 import json
 import math
 import numbers
-from decimal import Context, Decimal
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any
 
 import numpy as np
 
 from .event_states import EventState
-from .policy import MAX_GRID_BINS, ScenarioError
+from .policy import MAX_GRID_BINS, ScenarioError, _integral_text
 from .quantum_core import MeasurementModel
 from .timing import TimeGrid, TimingProfile
 
@@ -63,13 +62,6 @@ def _number(value: Any, context: str, key: str) -> float:
     if not math.isfinite(value):
         raise ScenarioError(f"{context}: {key} must be finite")
     return float(value)
-
-
-def _integral_text(value: int | float) -> str:
-    """``value`` as a message quotes it: whole up to 12 digits, to 12 significant ones beyond ("1e+308")."""
-    if abs(value) < 10**12:
-        return str(value)
-    return format(Decimal(int(value)).normalize(Context(prec=12)), "g")
 
 
 def _integer(value: Any, context: str, key: str, *, most: int | None = None) -> int:

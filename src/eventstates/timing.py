@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .policy import PROFILE_NORM_TOL, NumericsError, ScenarioError
+from .policy import MAX_BRANCHING_BINS, PROFILE_NORM_TOL, NumericsError, ScenarioError, _integral_text
 from .quantum_core import _readonly
 
 __all__ = [
@@ -170,6 +170,10 @@ class BranchingSchedule:
 
     @classmethod
     def constant(cls, grid: TimeGrid, step_prob: float, step_phase: float = 0.0) -> "BranchingSchedule":
+        """The same step probability and phase in every bin; at most ``MAX_BRANCHING_BINS`` bins."""
+        if grid.n_bins > MAX_BRANCHING_BINS:
+            bins = _integral_text(grid.n_bins)
+            raise ValueError(f"the branching grid needs {bins} bins; the bound is {MAX_BRANCHING_BINS}")
         return cls(
             grid=grid,
             step_probs=np.full(grid.n_bins, step_prob),
@@ -439,6 +443,10 @@ class EventTiming:
         masses.setflags(write=False)
         return masses
 
+    def distribution(self) -> JointTimeDistribution:
+        """The joint firing-time table of these times: :meth:`cell_masses` on their grid."""
+        return JointTimeDistribution(self.grid, self.kind, self.cell_masses())
+
 
 def joint_time_distribution(
     profile_a: TimingProfile, profile_b: TimingProfile, kind: str
@@ -451,4 +459,4 @@ def joint_time_distribution(
     _check_arrangement(kind)
     timing = EventTiming(profile_a, profile_b)
     timing.require_kind(kind)
-    return JointTimeDistribution(grid=timing.grid, kind=kind, table=timing.cell_masses())
+    return timing.distribution()

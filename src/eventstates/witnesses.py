@@ -56,10 +56,12 @@ def record_coherence(state: EventState) -> float:
     Measured as the entropy gained by dephasing in the joint record basis,
     ``max(H(diag rho) - S(rho), 0)``, with ``S(rho)`` read from the spectrum
     the state's validation found (block by block for ordered pairs), so no
-    second eigensolve runs.  Diagonal states score exactly zero;
+    second eigensolve runs.  Populations and eigenvalues at or below zero
+    (validation bounds them by ``-PSD_TOL``) add nothing to either
+    entropy.  Diagonal states score exactly zero;
     timer-register states raise.
     """
-    populations = np.clip(np.real(np.diag(state.detector_rho)), 0.0, None)
+    populations = np.real(np.diag(state.detector_rho))
     return max(shannon_entropy(populations) - shannon_entropy(state._spectrum), 0.0)
 
 

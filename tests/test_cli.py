@@ -31,6 +31,7 @@ from eventstates import (
     classical_correlation,
     coherence_witness,
     determinism_check,
+    joint_time_distribution,
     load_scenario,
     predict_future_outcome,
     profile_to_json,
@@ -687,6 +688,63 @@ def test_chsh_csv_golden_line(capsys):
     )
 
 
+_WITNESS_CSV_HEADER = b"witness,value,verdict\r\n"
+_CHSH_CSV = (
+    b"E_ab,E_abp,E_apb,E_apbp,S,tsirelson_ok\r\n"
+    b"-0.707106781187,-0.707106781187,-0.707106781187,0.707106781187,2.82842712475,true\r\n"
+)
+
+
+def _stdout_bytes(*argv: str) -> bytes:
+    result = subprocess.run([sys.executable, "-m", "eventstates", *argv], capture_output=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (
+            ["witness", _bundled("hadamard_tl.json"), "--csv"],
+            _WITNESS_CSV_HEADER + b"record-coherence,1,causal-signature\r\n",
+        ),
+        (
+            ["witness", _bundled("bell_sl.json"), "--csv", "--json"],
+            _WITNESS_CSV_HEADER + b"record-coherence,0,no-signature\r\n",
+        ),
+        (["chsh", _bundled("bell_sl.json"), "--csv"], _CHSH_CSV),
+        (["chsh", _bundled("bell_sl.json"), "--csv", "--json"], _CHSH_CSV),
+    ],
+    ids=["witness", "witness-csv-over-json", "chsh", "chsh-csv-over-json"],
+)
+def test_csv_output_bytes(argv, expect):
+    # csv.writer's rows end in \r\n, and --csv wins over --json
+    assert _stdout_bytes(*argv) == expect
+
+
+def _witness_csv(*reports) -> bytes:
+    return _WITNESS_CSV_HEADER + "".join(f"{r.witness},{r.value:.12g},{r.verdict}\r\n" for r in reports).encode()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_witness_csv_of_a_timed_scenario_and_its_state_file(tmp_path):
+    scenario_path, state_path = str(tmp_path / "timed.json"), str(tmp_path / "timed.state.json")
+    with open(scenario_path, "w", encoding="utf-8") as fh:
+        json.dump(_timed_tl(profile_b={"type": "exponential", "gamma": 1.0, "conditional": True}), fh)
+    scenario = load_scenario(scenario_path).scenario
+    save_state(state_path, build_timed_state(scenario))
+    timed = state_from_json(json.loads((tmp_path / "timed.state.json").read_text()))
+    times = time_witness(joint_time_distribution(scenario.timing.profile_a, scenario.timing.profile_b, "TL"))
+
+    assert _stdout_bytes("witness", scenario_path, "--csv") == _witness_csv(
+        coherence_witness(build_event_state(scenario)), times
+    )
+    assert _stdout_bytes("witness", state_path, "--csv") == _witness_csv(
+        coherence_witness(trace_out_timers(timed)), time_witness(timer_distribution(timed))
+    )
+    assert _stdout_bytes("witness", scenario_path, "--csv", "--kind", "timecorr") == _witness_csv(times)
+
+
 def test_chsh_needs_settings(capsys):
     code, out, err = _run(capsys, "chsh", _bundled("hadamard_tl.json"))
     assert code == 2
@@ -927,6 +985,30 @@ def test_demo_decay_refuses_bad_rates_and_steps_in_one_line(flags, code):
     assert result.stdout == ""
     errors = [line for line in result.stderr.splitlines() if not line.startswith("warning: ")]
     assert len(errors) == 1 and errors[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("gamma, dt", [("1e-305", "1e304"), ("1e-155", "1e153")], ids=["overflow", "square-overflow"])
+def test_demo_decay_refuses_an_overflowing_covariance_without_a_warning(gamma, dt):
+    # the covariance's matmul overflows; the refusal is the one line, even under -W error
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "eventstates", "demo", "decay", "--gamma", gamma, "--dt", dt],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.splitlines() == [f"error: demo decay: the time covariance overflows at gamma = {gamma}"]
+
+
+def test_demo_decay_prints_a_covariance_just_below_the_float_maximum():
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "eventstates", "demo", "decay", "--gamma", "1e-154", "--dt", "1e152"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "verdict = causal-signature" in result.stdout
 
 
 def test_warnings_print_as_one_line_each_before_the_error(tmp_path):

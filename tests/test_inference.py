@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eventstates import inference
 from eventstates import (
     EventScenario,
     EventState,
@@ -284,6 +285,26 @@ def test_classically_correlated_records_score_one_bit():
     )
     value = classical_correlation(build_sl_instant(scenario)).bits
     assert value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_commuting_records_shortcut_follows_the_diagonal_rule(monkeypatch):
+    # -0.0 off the diagonal leaves the state diagonal, so C_A = I(A:B) without a search;
+    # 1e-300 there does not, so the Bloch search runs and finds the same value
+    searches = []
+    minimize = inference.minimize
+    monkeypatch.setattr(inference, "minimize", lambda *args, **kwargs: searches.append(1) or minimize(*args, **kwargs))
+    joint = np.array([[0.4, 0.1], [0.2, 0.3]])
+    mutual = shannon_entropy(joint.sum(axis=1)) + shannon_entropy(joint.sum(axis=0)) - shannon_entropy(joint.ravel())
+    rho = np.diag(joint.ravel()).astype(complex)
+    rho[0, 3] = rho[3, 0] = -0.0
+    report = classical_correlation(EventState("SL", rho, MeasurementModel.sz(), MeasurementModel.sz()))
+    assert searches == []
+    assert report.bits == pytest.approx(mutual, abs=1e-15)
+    np.testing.assert_array_equal(report.basis.kets, np.eye(2))
+    rho[0, 3] = rho[3, 0] = 1e-300
+    searched = classical_correlation(EventState("SL", rho, MeasurementModel.sz(), MeasurementModel.sz()))
+    assert searches == [1]
+    assert searched.bits == pytest.approx(mutual, abs=1e-9)
 
 
 def test_deterministic_pair_recovers_the_full_bit():

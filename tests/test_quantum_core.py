@@ -112,6 +112,17 @@ def test_entropy_rejects_negative_operator():
         von_neumann_entropy(np.diag([1.5, -0.5]))
 
 
+def test_entropy_reads_the_hermitian_part():
+    # the Hermitian part of [[0.5, 0.1], [-0.1, 0.5]] is diag(0.5, 0.5), so its spectrum is read off the diagonal
+    assert von_neumann_entropy([[0.5, 0.1], [-0.1, 0.5]]) == 1.0
+
+
+def test_entropy_names_the_negative_eigenvalue():
+    message = "^operator is not positive semidefinite: min eigenvalue -5.000e-01$"
+    with pytest.raises(NumericsError, match=message):
+        von_neumann_entropy(np.diag([1.5, -0.5]))
+
+
 def test_trace_distance_orthogonal_states():
     assert trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(1.0, abs=1e-12)
     rho = random_density(rng_for(3), 3)

@@ -34,8 +34,13 @@ def _script(name: str, *args: str, cwd: str) -> subprocess.CompletedProcess:
             "--gamma nan with --dt 0.03: decay rate must be positive and finite, got nan",
         ),
         ("decay_convergence.py", ["--dt", "0.03", "2"], "--gamma 1 with --dt 2: step probabilities must lie in [0, 1)"),
+        (
+            "decay_convergence.py",
+            ["--dt", "1e-300"],
+            "--gamma 1 with --dt 1e-300: the branching grid needs 1.3815510558e+301 bins; the bound is 1000000",
+        ),
     ],
-    ids=["zero-points", "negative-points", "zero-dt", "nan-gamma", "dt-past-one"],
+    ids=["zero-points", "negative-points", "zero-dt", "nan-gamma", "dt-past-one", "dt-past-the-bin-bound"],
 )
 def test_scripts_refuse_bad_arguments_with_usage_and_one_error_line(tmp_path, name, args, message):
     result = _script(name, *args, cwd=str(tmp_path))

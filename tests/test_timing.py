@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from eventstates import (
     BranchingSchedule,
+    EventTiming,
     JointTimeDistribution,
     NumericsError,
     TimeGrid,
@@ -18,6 +19,7 @@ from eventstates import (
     joint_time_distribution,
     survival_probability,
 )
+from eventstates.policy import MAX_BRANCHING_BINS
 from eventstates.timing import branching_amplitude, exponential_tail_mass
 
 from helpers import (
@@ -266,6 +268,31 @@ def test_joint_time_distribution_product_and_ordered():
         joint_time_distribution(pa, cond, "SL")
     with pytest.raises(ValueError):
         joint_time_distribution(pa, pb, "TL")
+
+
+def test_event_timing_distribution_is_its_joint_time_table():
+    grid = TimeGrid(t0=0.0, dt=0.2, n_bins=6)
+    rng = rng_for(11)
+    pa = random_marginal_profile(rng, grid)
+    for pb, kind in ((random_marginal_profile(rng, grid), "SL"), (random_conditional_profile(rng, grid), "TL")):
+        dist = EventTiming(pa, pb).distribution()
+        expect = joint_time_distribution(pa, pb, kind)
+        assert (dist.grid, dist.kind) == (expect.grid, kind)
+        np.testing.assert_array_equal(dist.table, expect.table)
+    amps = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    timing = EventTiming(joint_amplitudes=amps, joint_grid=grid)
+    dist = timing.distribution()
+    assert (dist.grid, dist.kind) == (grid, "SL")
+    np.testing.assert_array_equal(dist.table, timing.cell_masses())
+    assert dist.table.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_constant_schedule_refuses_more_bins_than_the_bound():
+    grid = TimeGrid(t0=0.0, dt=1e-3, n_bins=MAX_BRANCHING_BINS + 1)
+    with pytest.raises(ValueError, match="^the branching grid needs 1000001 bins; the bound is 1000000$"):
+        BranchingSchedule.constant(grid, 1e-3)
+    at_bound = BranchingSchedule.constant(TimeGrid(t0=0.0, dt=1e-3, n_bins=MAX_BRANCHING_BINS), 1e-3)
+    assert at_bound.step_probs.shape == (MAX_BRANCHING_BINS,)
 
 
 def test_joint_table_validation():
