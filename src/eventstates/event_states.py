@@ -41,7 +41,9 @@ from .quantum_core import (
     MeasurementModel,
     _assert_hermitian,
     _density_check,
+    _hermitian_part,
     _readonly,
+    _record_blocks,
     _require_density,
     as_ket,
     as_operator,
@@ -206,15 +208,11 @@ class EventState:
     (timer_a x record_a) x (timer_b x record_b), with the row index laid out
     as ``((k * da + a) * n + l) * db + b`` for timer bins k, l.
 
-    ``rho`` is validated once, on construction.  A diagonal ``rho`` (every
-    SL build) is checked entry by entry.  A detector-space ``rho`` whose
-    nonzero entries all lie in its second-record blocks (every sharp and
-    time-averaged TL build, which write exact zeros elsewhere, and a state
-    file of one) is checked block by block, with one batched eigensolve.
-    Any other ``rho``, and a timer-register one that is not diagonal, takes
-    one dense eigensolve.  The spectrum found is kept as
+    ``rho`` is validated once, on construction, piece by piece on the cut
+    :func:`~eventstates.quantum_core._pieces` finds (a timer-register state
+    is cut only at its diagonal).  The spectrum found is kept as
     ``_spectrum`` for :func:`~eventstates.witnesses.record_coherence`, and
-    ``_in_blocks`` records whether either cut held, so that
+    ``_in_blocks`` records whether a cut held, so that
     :func:`conditional_decomposition` need not scan for cross-record
     coherence.
     """
@@ -263,23 +261,20 @@ class EventState:
     @functools.cached_property
     def _split(self) -> ConditionalDecomposition:
         """The split behind :func:`conditional_decomposition`, made once: ``rho`` is read-only."""
-        da, db = self.dims
-        four = self.detector_rho.reshape(da, db, da, db)
+        rho = self.detector_rho
+        blocks = _record_blocks(rho, self.basis_b.dim)
         if not self._in_blocks:  # else validation found every cross-record entry zero
-            off_diagonal = ~np.eye(db, dtype=bool)
-            cross = float(np.max(np.max(np.abs(four), axis=(0, 2))[off_diagonal], initial=0.0))
+            cross = float(np.max(np.abs(rho - _block_diagonal_in_b(blocks))))
             if cross > HERMITICITY_TOL:
                 raise NumericsError(
                     f"state carries coherence between second-record values (max {cross:.3e}); "
                     "it does not decompose by that record"
                 )
 
-        blocks = np.einsum("abAb->baA", four)
         probs = np.real(np.einsum("baa->b", blocks))
         live = probs >= EMPTY_BLOCK_FLOOR
         probs = np.where(live, probs, 0.0)
-        sigmas = blocks / np.where(live, probs, 1.0)[:, None, None]
-        sigmas = 0.5 * (sigmas + sigmas.conj().swapaxes(-1, -2))
+        sigmas = _hermitian_part(blocks / np.where(live, probs, 1.0)[:, None, None])
         sigmas[~live] = 0.0
         return ConditionalDecomposition(
             kind=self.kind, probs=_readonly(probs), sigmas=_readonly(sigmas), labels_b=self.basis_b.labels
@@ -296,10 +291,9 @@ def _evolution_family(hamiltonian: np.ndarray, taus: np.ndarray) -> np.ndarray:
 def _block_diagonal_in_b(blocks: np.ndarray) -> np.ndarray:
     """Assemble sum_b blocks[b] (x) |b><b| on record_a x record_b."""
     db, da = blocks.shape[:2]
-    out = np.zeros((da, db, da, db), dtype=complex)
-    idx = np.arange(db)
-    out[:, idx, :, idx] = blocks
-    return out.reshape(da * db, da * db)
+    out = np.zeros((da * db, da * db), dtype=complex)
+    _record_blocks(out, db)[...] = blocks
+    return out
 
 
 def _require_kind(scenario: EventScenario, kind: str) -> None:
@@ -503,8 +497,7 @@ def trace_out_timers(state: EventState) -> EventState:
     """Reduce a timer-register state to the detector records alone."""
     da, db = state.dims
     reduced = np.einsum("kalbkAlB->abAB", state._timed_tensor()).reshape(da * db, da * db)
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    return _state(state, reduced)
+    return _state(state, _hermitian_part(reduced))
 
 
 def timer_distribution(state: EventState) -> JointTimeDistribution:

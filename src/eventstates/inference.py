@@ -27,6 +27,7 @@ from .event_states import EventState, conditional_decomposition
 from .policy import DETERMINISM_TOL, EIGENVALUE_FLOOR, EMPTY_BLOCK_FLOOR, PRIOR_SUM_TOL, ScenarioError
 from .quantum_core import (
     MeasurementModel,
+    _hermitian_part,
     _pieces,
     as_ket,
     assert_unitary,
@@ -88,7 +89,7 @@ def helstrom_success(
     """
     _check_priors(p1, p2)
     gap = p1 * np.asarray(rho1, dtype=complex) - p2 * np.asarray(rho2, dtype=complex)
-    vals, vecs = np.linalg.eigh(0.5 * (gap + gap.conj().T))
+    vals, vecs = np.linalg.eigh(_hermitian_part(gap))
     pos = vecs[:, vals > 0.0]
     return HelstromResult(success=float(_success(vals)), projector=pos @ pos.conj().T)
 
@@ -110,7 +111,7 @@ def helstrom_pure(p1: float, ket1: np.ndarray, p2: float, ket2: np.ndarray) -> f
 
 
 def _sqrt_pinv(rho: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    vals, vecs = np.linalg.eigh(_hermitian_part(rho))
     inv = np.where(vals > EIGENVALUE_FLOOR, 1.0 / np.sqrt(np.clip(vals, 1e-300, None)), 0.0)
     return (vecs * inv) @ vecs.conj().T
 
@@ -185,9 +186,8 @@ def _holevo_like(rho4: np.ndarray, kets: np.ndarray, entropy_b: float) -> np.nda
     second-record entropy minus the average conditional entropy.
     """
     blocks = np.einsum("noa,abAB,noA->nobB", kets.conj(), rho4, kets)
-    probs = np.clip(np.real(np.einsum("nobb->no", blocks)), 0.0, None)
-    vals = np.linalg.eigvalsh(0.5 * (blocks + np.conj(np.swapaxes(blocks, -1, -2))))
-    vals = np.clip(vals, 0.0, None)
+    probs = np.real(np.einsum("nobb->no", blocks))
+    vals = np.linalg.eigvalsh(_hermitian_part(blocks))
     cond = np.sum(_plogp(probs), axis=1) - np.sum(_plogp(vals), axis=(1, 2))
     return entropy_b - cond
 

@@ -5,6 +5,7 @@ Conventions used throughout the package:
 * Operators are square complex ``numpy`` arrays (row-major indexing).
 * Kets are one-dimensional complex arrays with unit norm.
 * All entropies are in bits (logarithms base 2).
+* Spectra are of the Hermitian part (M + M^dagger) / 2, halved before adding.
 * A measurement basis stores one ket per row, paired with a real outcome
   label per ket.
 """
@@ -83,7 +84,7 @@ def as_ket(value, *, name: str = "ket") -> np.ndarray:
 
 def bloch_ket(theta: float, phi: float = 0.0) -> np.ndarray:
     """Qubit ket at polar angle ``theta`` and azimuth ``phi`` on the Bloch sphere."""
-    return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex)
+    return bloch_pair(theta, phi)[0]
 
 
 def bloch_pair(theta: float | np.ndarray, phi: float | np.ndarray = 0.0) -> np.ndarray:
@@ -134,7 +135,18 @@ def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
         out = np.einsum("iaib->ab", four)
     else:
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return 0.5 * (out + out.conj().T)
+    return _hermitian_part(out)
+
+
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """(M + M^dagger) / 2 of a matrix or stack, halving first: a sum near the float maximum would overflow."""
+    return 0.5 * mat + 0.5 * mat.conj().swapaxes(-1, -2)
+
+
+def _record_blocks(mat: np.ndarray, db: int) -> np.ndarray:
+    """Second-record blocks ``[b, a, A] = <a, b| mat |A, b>`` as a view, writing through to a contiguous ``mat``."""
+    da = mat.shape[0] // db
+    return np.einsum("abAb->baA", mat.reshape(da, db, da, db))
 
 
 def _pieces(mat: np.ndarray, db: int = 1) -> np.ndarray:
@@ -143,9 +155,9 @@ def _pieces(mat: np.ndarray, db: int = 1) -> np.ndarray:
     The first exact rule that holds picks the cut.  When every nonzero entry
     lies on the diagonal, the pieces are the diagonal entries, 1 x 1, in
     index order.  Otherwise, for ``db > 1``, when every nonzero entry lies
-    in the ``db`` second-record blocks ``mat.reshape(da, db, da, db)[:, b, :, b]``,
-    the pieces are those blocks, as one ``(db, da, da)`` stack.  Otherwise,
-    however small the entry outside, the whole matrix is the one piece.
+    in the ``db`` second-record blocks, the pieces are those blocks, as the
+    ``(db, da, da)`` view :func:`_record_blocks`.  Otherwise, however small
+    the entry outside, the whole matrix is the one piece.
     Each cut is closed under transposition, so the adjoint and the
     Hermitian part of ``mat`` are zero off the same pieces.
     """
@@ -154,8 +166,7 @@ def _pieces(mat: np.ndarray, db: int = 1) -> np.ndarray:
     if nonzero == np.count_nonzero(diagonal):
         return diagonal[:, None, None]
     if db > 1:
-        da, idx = mat.shape[0] // db, np.arange(db)
-        blocks = mat.reshape(da, db, da, db)[:, idx, :, idx]
+        blocks = _record_blocks(mat, db)
         if nonzero == np.count_nonzero(blocks):
             return blocks
     return mat[None]
@@ -185,7 +196,7 @@ def shannon_entropy(probs) -> float:
 def von_neumann_entropy(rho) -> float:
     """Spectral entropy of a density matrix (of its Hermitian part), in bits."""
     mat = as_operator(rho, name="rho")
-    check, vals, _ = _density_check(0.5 * (mat + mat.conj().T))
+    check, vals, _ = _density_check(_hermitian_part(mat))
     if not check.psd_ok:
         raise NumericsError(f"operator is not positive semidefinite: min eigenvalue {check.min_eigenvalue:.3e}")
     return shannon_entropy(vals)
@@ -197,9 +208,7 @@ def trace_distance(rho, sigma) -> float:
     b = as_operator(sigma, name="sigma")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    diff = 0.5 * (diff + diff.conj().T)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(_hermitian_part(a - b)))))
 
 
 def _populations(mat: np.ndarray, basis: MeasurementModel | None) -> np.ndarray:
@@ -207,7 +216,7 @@ def _populations(mat: np.ndarray, basis: MeasurementModel | None) -> np.ndarray:
     if basis is None:
         return np.diag(mat)
     if basis.dim != mat.shape[0]:
-        raise ValueError(f"basis dimension {basis.kets.shape} does not match operator dimension {mat.shape[0]}")
+        raise ValueError(f"basis dimension {basis.dim} does not match operator dimension {mat.shape[0]}")
     return np.einsum("mi,ij,mj->m", basis.kets.conj(), mat, basis.kets)
 
 
@@ -263,9 +272,7 @@ def _density_check(mat: np.ndarray, db: int = 1) -> tuple[DensityCheck, np.ndarr
     adjoint = pieces.conj().swapaxes(-1, -2)
     herm_defect = float(np.max(np.abs(pieces - adjoint)))
     trace_defect = float(abs(np.trace(mat) - 1.0))
-    # Halve before adding: entries near the float maximum would overflow the
-    # sum, and eigvalsh does not converge on infinite entries.
-    vals = _spectrum(0.5 * pieces + 0.5 * adjoint)
+    vals = _spectrum(_hermitian_part(pieces))
     min_eig = float(vals.min())
     check = DensityCheck(
         dim=mat.shape[0],

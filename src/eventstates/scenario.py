@@ -257,11 +257,9 @@ _FIELDS = (
 def scenario_from_json(data: dict, *, source: str = "<memory>") -> ScenarioFile:
     """Validate and build a scenario from already-parsed JSON.
 
-    ``data`` is checked first by one ``jsonschema.validate`` call against
-    the packaged draft-07 schema, which is not meta-checked at run time
-    (the test suite checks it).  A boolean walk of the schema decides
-    acceptance of any value; draft 07's own pass runs only to word a
-    refusal, so verdicts and messages are the plain pass's.
+    ``data`` is checked first against :func:`schema`, as the module
+    docstring describes; a refusal, or a value draft 07 cannot compare,
+    raises ScenarioError prefixed with ``source``.
     """
     try:
         jsonschema.validate(data, schema(), cls=_validator_class())

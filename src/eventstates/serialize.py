@@ -292,10 +292,7 @@ def _encode(value: Any) -> str:
 def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, 12-significant-digit floats, no whitespace.
 
-    Non-finite floats raise ValueError.  The text is written directly from
-    the values, without a rounded copy of the payload: a 1-D float64 array in
-    one join, a 2-D float64 array from its nonzero entries, a block of rows
-    at a time, and lists, tuples and other arrays element by element.
+    Non-finite floats raise ValueError.  :func:`_encode` writes the text.
     """
     return _encode(obj)
 

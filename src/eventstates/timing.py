@@ -53,6 +53,12 @@ def _check_arrangement(kind: str) -> None:
         raise ScenarioError(f"kind must be 'SL' or 'TL', got {kind!r}")
 
 
+def _check_integer(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is an integer: a ``numbers.Integral``, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid of n_bins points t_k = t0 + k * dt."""
@@ -66,8 +72,7 @@ class TimeGrid:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not math.isfinite(self.t0):
             raise ValueError("t0 must be finite")
-        if isinstance(self.n_bins, bool) or not isinstance(self.n_bins, numbers.Integral):
-            raise ValueError(f"n_bins must be an integer, got {self.n_bins!r}")
+        _check_integer(self.n_bins, "n_bins")
         if self.n_bins < 2:
             raise ValueError(f"n_bins must be at least 2, got {self.n_bins}")
         if not math.isfinite(self.t_end):
@@ -156,7 +161,7 @@ class BranchingSchedule:
         n = self.grid.n_bins
         if probs.shape != (n,) or phases.shape != (n,):
             raise ValueError(f"schedule arrays need shape ({n},)")
-        if np.any(probs < 0.0) or np.any(probs >= 1.0):
+        if not np.all((probs >= 0.0) & (probs < 1.0)):  # NaN fails both comparisons
             raise ValueError("step probabilities must lie in [0, 1)")
         if not np.all(np.isfinite(phases)):
             raise ValueError("step phases must be finite")
@@ -169,15 +174,15 @@ class BranchingSchedule:
         object.__setattr__(self, "step_phases", _readonly(phases))
 
     @classmethod
-    def constant(cls, grid: TimeGrid, step_prob: float, step_phase: float = 0.0) -> "BranchingSchedule":
-        """The same step probability and phase in every bin; at most ``MAX_BRANCHING_BINS`` bins."""
+    def constant(cls, grid: TimeGrid, step_prob: float) -> "BranchingSchedule":
+        """The same step probability in every bin, with zero phases; at most ``MAX_BRANCHING_BINS`` bins."""
         if grid.n_bins > MAX_BRANCHING_BINS:
             bins = _integral_text(grid.n_bins)
             raise ValueError(f"the branching grid needs {bins} bins; the bound is {MAX_BRANCHING_BINS}")
         return cls(
             grid=grid,
             step_probs=np.full(grid.n_bins, step_prob),
-            step_phases=np.full(grid.n_bins, step_phase),
+            step_phases=np.zeros(grid.n_bins),
         )
 
 
@@ -246,6 +251,7 @@ def exponential_conditional(gamma: float, grid: TimeGrid) -> TimingProfile:
 
 def delta_profile(grid: TimeGrid, bin_index: int) -> TimingProfile:
     """Marginal profile with all mass in a single bin."""
+    _check_integer(bin_index, "bin index")
     if not (0 <= bin_index < grid.n_bins):
         raise ValueError(f"bin index {bin_index} outside grid of {grid.n_bins} bins")
     amps = np.zeros(grid.n_bins)
@@ -258,6 +264,7 @@ def delta_conditional(grid: TimeGrid, lag_bins: int) -> TimingProfile:
 
     Rows whose target would fall past the grid clip to the last bin.
     """
+    _check_integer(lag_bins, "lag")
     if lag_bins < 0:
         raise ValueError(f"lag must be nonnegative, got {lag_bins}")
     n = grid.n_bins
@@ -283,6 +290,7 @@ def branching_amplitudes(schedule: BranchingSchedule) -> np.ndarray:
 
 def branching_amplitude(schedule: BranchingSchedule, k: int) -> complex:
     """Firing amplitude for bin k alone."""
+    _check_integer(k, "bin index")
     if not (0 <= k < schedule.grid.n_bins):
         raise ValueError(f"bin index {k} outside grid of {schedule.grid.n_bins} bins")
     return complex(branching_amplitudes(schedule)[k])
@@ -335,10 +343,6 @@ class JointTimeDistribution:
         if self.kind == "TL" and np.any(table, where=np.tri(n, k=-1, dtype=bool)):
             raise NumericsError("ordered table must be exactly zero below the diagonal")
         object.__setattr__(self, "table", _readonly(table))
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
 
     def marginal_a(self) -> np.ndarray:
         return self.table.sum(axis=1)

@@ -1024,6 +1024,25 @@ _INPUT_ERRORS = {
         lambda: tm.BranchingSchedule(grid=_GRID4, step_probs=np.full(4, 0.01), step_phases=np.full(4, np.nan)),
         ValueError, "phases must be finite",
     ),
+    "schedule-nan-step": (
+        lambda: tm.BranchingSchedule(grid=_GRID4, step_probs=[np.nan, 0.01, 0.01, 0.01], step_phases=np.zeros(4)),
+        ValueError, r"^step probabilities must lie in \[0, 1\)$",
+    ),
+    "constant-schedule-nan-step": (
+        lambda: tm.BranchingSchedule.constant(_GRID4, np.nan), ValueError, r"^step probabilities must lie in \[0, 1\)$",
+    ),
+    "delta-bin-fraction": (
+        lambda: tm.delta_profile(_GRID4, 1.5), ValueError, "^bin index must be an integer, got 1.5$",
+    ),
+    "delta-bin-bool": (
+        lambda: tm.delta_profile(_GRID4, True), ValueError, "^bin index must be an integer, got True$",
+    ),
+    "delta-lag-fraction": (lambda: delta_conditional(_GRID4, 1.5), ValueError, "^lag must be an integer, got 1.5$"),
+    "delta-lag-nan": (lambda: delta_conditional(_GRID4, np.nan), ValueError, "^lag must be an integer, got nan$"),
+    "branching-bin-fraction": (
+        lambda: tm.branching_amplitude(tm.BranchingSchedule.constant(_GRID4, 0.01), 1.5),
+        ValueError, "^bin index must be an integer, got 1.5$",
+    ),
     "grid-decay-rate": (lambda: tm.exponential_grid(0.0, 0.1), ValueError, "decay rate must be positive"),
     "grid-tail-mass": (
         lambda: tm.exponential_grid(1.0, 0.1, tail_mass=1.0), ValueError, r"tail_mass must lie in \(0, 1\)",

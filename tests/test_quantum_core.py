@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,17 @@ from eventstates import (
     von_neumann_entropy,
 )
 from eventstates.policy import HERMITICITY_TOL, PSD_TOL, TRACE_TOL
-from eventstates.quantum_core import _density_check, as_ket, assert_density, assert_unitary, is_unitary, projector
+from eventstates.quantum_core import (
+    _density_check,
+    _pieces,
+    _record_blocks,
+    as_ket,
+    as_operator,
+    assert_density,
+    assert_unitary,
+    is_unitary,
+    projector,
+)
 
 from helpers import random_density, random_ket, random_unitary, rng_for
 
@@ -121,6 +132,35 @@ def test_entropy_names_the_negative_eigenvalue():
     message = "^operator is not positive semidefinite: min eigenvalue -5.000e-01$"
     with pytest.raises(NumericsError, match=message):
         von_neumann_entropy(np.diag([1.5, -0.5]))
+
+
+def test_entropy_of_entries_near_the_float_maximum_names_their_eigenvalue():
+    # the Hermitian part is halved before adding, so 1e308 + 1e308 never overflows to inf
+    with pytest.raises(NumericsError, match="min eigenvalue -1.000e\\+308$"):
+        von_neumann_entropy([[1.0, 1e308], [1e308, 1.0]])
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 0)])
+def test_as_operator_refuses_a_non_square_or_empty_array(shape):
+    with pytest.raises(ValueError, match=f"^rho must be a square matrix, got shape {re.escape(str(shape))}$"):
+        as_operator(np.zeros(shape), name="rho")
+
+
+def test_as_ket_refuses_non_finite_entries():
+    with pytest.raises(ValueError, match="^ket has non-finite entries$"):
+        as_ket([np.nan, 1.0])
+
+
+def test_entropy_of_no_weight_is_exactly_zero():
+    value = shannon_entropy([0.0, 0.0])
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize("measure", [dephase, relative_entropy_of_coherence])
+def test_a_basis_of_another_dimension_is_refused(measure):
+    message = "^basis dimension 3 does not match operator dimension 2$"
+    with pytest.raises(ValueError, match=message):
+        measure(np.eye(2) / 2.0, MeasurementModel.computational(3))
 
 
 def test_trace_distance_orthogonal_states():
@@ -281,6 +321,29 @@ def test_a_diagonal_takes_the_diagonal_rule_before_the_blocks():
         assert in_blocks
         assert check == _eigvalsh_check(mat)
         np.testing.assert_array_equal(vals, np.diagonal(mat).real)
+
+
+def test_record_blocks_are_a_view_that_writes_the_old_fancy_index_layout():
+    rng = rng_for(11)
+    da, db = 3, 4
+    blocks = rng.normal(size=(db, da, da)) + 1j * rng.normal(size=(db, da, da))
+    mat = np.zeros((da * db, da * db), dtype=complex)
+    view = _record_blocks(mat, db)
+    assert np.shares_memory(view, mat)
+    view[...] = blocks
+    want = np.zeros((da, db, da, db), dtype=complex)
+    idx = np.arange(db)
+    want[:, idx, :, idx] = blocks
+    np.testing.assert_array_equal(mat, want.reshape(da * db, da * db))
+    np.testing.assert_array_equal(_record_blocks(mat, db), blocks)
+
+
+def test_the_block_cut_of_pieces_is_a_view_of_its_input():
+    da, db = 2, 3
+    mat = _block_state(_random_blocks(rng_for(12), da, db))
+    pieces = _pieces(mat, db)
+    assert pieces.shape == (db, da, da)
+    assert np.shares_memory(pieces, mat)
 
 
 def test_unitary_checks():

@@ -178,6 +178,20 @@ def test_delta_profiles_are_one_hot():
     np.testing.assert_allclose(np.argmax(table, axis=1), [1, 2, 3, 3])
 
 
+def test_bin_indices_may_be_numpy_integers():
+    grid = TimeGrid(t0=0.0, dt=0.25, n_bins=4)
+    np.testing.assert_array_equal(delta_profile(grid, np.int64(2)).amplitudes, delta_profile(grid, 2).amplitudes)
+    np.testing.assert_array_equal(delta_conditional(grid, np.int32(1)).amplitudes, delta_conditional(grid, 1).amplitudes)
+    sched = BranchingSchedule.constant(grid, 0.05)
+    assert branching_amplitude(sched, np.int64(2)) == branching_amplitude(sched, 2)
+    with pytest.raises(ValueError, match="^bin index 9 outside grid of 4 bins$"):
+        delta_profile(grid, np.int64(9))
+    with pytest.raises(ValueError, match="^bin index 4 outside grid of 4 bins$"):
+        branching_amplitude(sched, 4)
+    with pytest.raises(ValueError, match="^lag must be nonnegative, got -1$"):
+        delta_conditional(grid, -1)
+
+
 @given(st.integers(0, 5_000))
 @settings(deadline=None, max_examples=100)
 def test_branching_amplitudes_telescope_exactly(seed):
