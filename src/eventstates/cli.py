@@ -32,7 +32,7 @@ from .event_states import (
     timer_distribution,
 )
 from .inference import classical_correlation, determinism_check, predict_future_outcome
-from .policy import MAX_GRID_BINS, NumericsError, ScenarioError, _integral_text
+from .policy import NumericsError, ScenarioError
 from .scenario import ScenarioFile, scenario_from_json, load_scenario
 from .serialize import (
     _worded,
@@ -206,20 +206,22 @@ def _demo_scenario(name: str) -> ScenarioFile:
     return scenario_from_json(json.loads(text), source=f"demo:{name}")
 
 
+def _short(x: float) -> str:
+    """``x`` with six decimals, in exponent form from 1e15 on, so that a line stays short."""
+    return f"{x:.6e}" if abs(x) >= 1e15 else f"{x:.6f}"
+
+
 def _demo_decay(args) -> tuple[dict, list[str]]:
     gamma, dt = args.gamma, args.dt
-    # Both grids are sized before any array is made, and each is bounded before
-    # its own arrays are (BranchingSchedule.constant bounds the branching grid);
-    # exponential_grid refuses a rate or step that is not positive and finite.
-    # The covariance table steps at most 0.02 mean lifetimes (gamma * step <= 0.02).
+    # Both grids are sized before any array is made; BranchingSchedule.constant
+    # bounds the branching grid, and the covariance table steps 0.02 mean
+    # lifetimes, so it has 691 bins at every gamma.  exponential_grid refuses
+    # a rate or step that is not positive and finite.
     grid = _worded("demo decay", exponential_grid, gamma, dt)
-    table_grid = _worded("demo decay", exponential_grid, gamma, min(max(dt, 0.02), 0.02 / gamma))
+    table_grid = _worded("demo decay", exponential_grid, gamma, 0.02 / gamma)
     if gamma * dt >= 1.0:
         raise ScenarioError(f"gamma * dt = {gamma * dt:.3g} >= 1; no per-bin probability exists")
     schedule = _worded("demo decay", BranchingSchedule.constant, grid, gamma * dt)
-    if table_grid.n_bins > MAX_GRID_BINS:
-        bins = _integral_text(table_grid.n_bins)
-        raise ScenarioError(f"demo decay: the covariance table needs {bins} bins; the bound is {MAX_GRID_BINS}")
     profile = exponential_profile(gamma, grid)
     err = continuum_limit_check(schedule, profile)
 
@@ -245,7 +247,7 @@ def _demo_decay(args) -> tuple[dict, list[str]]:
     lines = [
         f"gamma = {gamma:g}, dt = {dt:g}, bins = {grid.n_bins}",
         f"branching vs continuum: max relative error = {err:.3e}",
-        f"time covariance = {witness.value:.6f} (continuum 1/gamma^2 = {continuum:.6f})",
+        f"time covariance = {_short(witness.value)} (continuum 1/gamma^2 = {_short(continuum)})",
         f"verdict = {witness.verdict}",
     ]
     return payload, lines

@@ -36,21 +36,23 @@ from .policy import (
     PURE_BLOCK_TOL,
     NumericsError,
     ScenarioError,
+    _check_arrangement,
+    _check_integer,
 )
 from .quantum_core import (
     MeasurementModel,
     _assert_hermitian,
     _density_check,
     _hermitian_part,
+    _ket_or_operator,
     _readonly,
     _record_blocks,
     _require_density,
-    as_ket,
     as_operator,
     assert_density,
     assert_unitary,
 )
-from .timing import EventTiming, JointTimeDistribution, TimeGrid, TimingProfile, _check_arrangement
+from .timing import EventTiming, JointTimeDistribution, TimeGrid, TimingProfile
 
 __all__ = [
     "EventScenario",
@@ -116,8 +118,7 @@ class EventScenario:
 
     def __post_init__(self):
         _check_arrangement(self.kind)
-        initial = np.asarray(self.initial, dtype=complex)
-        initial = (as_ket if initial.ndim == 1 else as_operator)(initial, name="initial state")
+        initial = _ket_or_operator(self.initial, name="initial state")
         dim = initial.shape[0]
         da, db = self.dims
 
@@ -276,9 +277,7 @@ class EventState:
         probs = np.where(live, probs, 0.0)
         sigmas = _hermitian_part(blocks / np.where(live, probs, 1.0)[:, None, None])
         sigmas[~live] = 0.0
-        return ConditionalDecomposition(
-            kind=self.kind, probs=_readonly(probs), sigmas=_readonly(sigmas), labels_b=self.basis_b.labels
-        )
+        return ConditionalDecomposition(kind=self.kind, probs=_readonly(probs), sigmas=_readonly(sigmas))
 
 
 def _evolution_family(hamiltonian: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -527,7 +526,6 @@ class ConditionalDecomposition:
     kind: Literal["SL", "TL"]
     probs: np.ndarray
     sigmas: np.ndarray
-    labels_b: np.ndarray
 
     @property
     def conditionals(self) -> tuple:
@@ -564,6 +562,7 @@ def conditional_decomposition(state: EventState) -> ConditionalDecomposition:
 
 def reconstruct_from_decomposition(decomp: ConditionalDecomposition, da: int) -> np.ndarray:
     """Reassemble sum_b p_b sigma_b (x) |b><b| from a decomposition of da x da blocks."""
+    da = _check_integer(da, "da")
     if da != decomp.sigmas.shape[-1]:
         raise ScenarioError(f"decomposition holds {decomp.sigmas.shape[-1]}-dim first records, not {da}")
     return _block_diagonal_in_b(decomp.probs[:, None, None] * decomp.sigmas)

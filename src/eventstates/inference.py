@@ -27,7 +27,9 @@ from .event_states import EventState, conditional_decomposition
 from .policy import DETERMINISM_TOL, EIGENVALUE_FLOOR, EMPTY_BLOCK_FLOOR, PRIOR_SUM_TOL, ScenarioError
 from .quantum_core import (
     MeasurementModel,
+    _bloch_pair,
     _hermitian_part,
+    _matched_pair,
     _pieces,
     as_ket,
     assert_unitary,
@@ -88,7 +90,8 @@ def helstrom_success(
     sign of the weighted difference's Hermitian part.  Priors must sum to 1.
     """
     _check_priors(p1, p2)
-    gap = p1 * np.asarray(rho1, dtype=complex) - p2 * np.asarray(rho2, dtype=complex)
+    rho1, rho2 = _matched_pair(rho1, rho2, ("rho1", "rho2"))
+    gap = p1 * rho1 - p2 * rho2
     vals, vecs = np.linalg.eigh(_hermitian_part(gap))
     pos = vecs[:, vals > 0.0]
     return HelstromResult(success=float(_success(vals)), projector=pos @ pos.conj().T)
@@ -102,10 +105,10 @@ def _success(vals: np.ndarray) -> np.ndarray:
 def helstrom_pure(p1: float, ket1: np.ndarray, p2: float, ket2: np.ndarray) -> float:
     """Closed form of the two-state success probability for pure hypotheses.
 
-    Priors must sum to 1, as for :func:`helstrom_success`.
+    Priors must sum to 1, as for :func:`helstrom_success`, and the kets are unit kets of one space.
     """
     _check_priors(p1, p2)
-    overlap = abs(np.vdot(np.asarray(ket1, dtype=complex), np.asarray(ket2, dtype=complex))) ** 2
+    overlap = abs(np.vdot(*_matched_pair(ket1, ket2, ("ket1", "ket2"), as_ket))) ** 2
     radicand = max(1.0 - 4.0 * p1 * p2 * overlap, 0.0)
     return 0.5 * (1.0 + np.sqrt(radicand))
 
@@ -220,10 +223,13 @@ def classical_correlation(
     basis meets the Holevo bound: C_A = I(A:B) of p(a, b), exact in any
     dimension.  Otherwise qubit first records are searched over the Bloch
     sphere (coarse grid plus a simplex refinement); larger records need
-    ``measurements``, a list of candidate :class:`MeasurementModel` bases.
+    ``measurements``, a non-empty list of candidate :class:`MeasurementModel`
+    bases of the first record.
     """
     rho = state.detector_rho
     da, db = state.dims
+    if measurements is not None and (len(measurements) == 0 or {m.dim for m in measurements} != {da}):
+        raise ScenarioError(f"measurements must be a non-empty list of {da}-dim bases of the first record")
     rho4 = rho.reshape(da, db, da, db)
     rho_b = partial_trace(rho, (da, db), keep="B")
     entropy_b = von_neumann_entropy(rho_b)
@@ -239,14 +245,14 @@ def classical_correlation(
 
     thetas = np.linspace(0.0, np.pi, THETA_POINTS)
     phis = np.linspace(0.0, 2.0 * np.pi, PHI_POINTS, endpoint=False)
-    grid = bloch_pair(thetas[:, None], phis).reshape(-1, 2, 2)
+    grid = _bloch_pair(thetas[:, None], phis).reshape(-1, 2, 2)
     values = _holevo_like(rho4, grid, entropy_b)
     best = int(np.argmax(values))
     best_value = float(values[best])
     x0 = np.array([thetas[best // PHI_POINTS], phis[best % PHI_POINTS]])
 
     def objective(x):
-        return -float(_holevo_like(rho4, bloch_pair(x[0], x[1])[None], entropy_b)[0])
+        return -float(_holevo_like(rho4, _bloch_pair(x[0], x[1])[None], entropy_b)[0])
 
     options = {"maxiter": REFINE_MAXITER, "xatol": REFINE_TOL, "fatol": REFINE_TOL}
     refined = minimize(objective, x0, method="Nelder-Mead", options=options)

@@ -1,12 +1,16 @@
-"""Shared numeric tolerances, error types, and how messages quote counts.
+"""Shared numeric tolerances, error types, scalar argument rules, and how messages quote counts.
 
 Every validation step in the package reads its thresholds from the module
 constants below, so each tolerance is stated once.  The values match the
-contracts asserted by the test suite.
+contracts asserted by the test suite.  The scalar argument rules (an
+integer count, a positive finite rate, a causal arrangement) are stated
+here too, each returning the value it checked.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from decimal import Context, Decimal
 
 __all__ = ["NumericsError", "ScenarioError"]
@@ -25,6 +29,27 @@ def _integral_text(value: int | float) -> str:
     if abs(value) < 10**12:
         return str(value)
     return format(Decimal(int(value)).normalize(Context(prec=12)), "g")
+
+
+def _check_integer(value, name: str) -> int:
+    """``value``, unless it is no integer (a ``numbers.Integral`` that is not a bool): ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _check_positive(value: float, name: str) -> float:
+    """``value``, unless it is not positive and finite (NaN is neither): ValueError."""
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _check_arrangement(kind: str) -> str:
+    """``kind``, unless it names no causal arrangement ("SL" or "TL"): ScenarioError."""
+    if not isinstance(kind, str) or kind not in ("SL", "TL"):
+        raise ScenarioError(f"kind must be 'SL' or 'TL', got {kind!r}")
+    return kind
 
 
 # Density-matrix validation: max Hermiticity defect, trace defect, and the

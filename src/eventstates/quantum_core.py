@@ -8,6 +8,8 @@ Conventions used throughout the package:
 * Spectra are of the Hermitian part (M + M^dagger) / 2, halved before adding.
 * A measurement basis stores one ket per row, paired with a real outcome
   label per ket.
+* Public array arguments pass :func:`as_operator`, :func:`as_ket` or a
+  private rule beside them (``_finite``, ``_ket_or_operator``, ``_matched_pair``).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .policy import (
     TRACE_TOL,
     UNITARY_TOL,
     NumericsError,
+    _check_integer,
 )
 
 __all__ = [
@@ -64,9 +67,7 @@ def as_operator(value, *, name: str = "operator") -> np.ndarray:
     mat = np.asarray(value, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{name} has non-finite entries")
-    return mat
+    return _finite(mat, name)
 
 
 def as_ket(value, *, name: str = "ket") -> np.ndarray:
@@ -74,12 +75,32 @@ def as_ket(value, *, name: str = "ket") -> np.ndarray:
     vec = np.asarray(value, dtype=complex)
     if vec.ndim != 1 or vec.size < 1:
         raise ValueError(f"{name} must be a vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{name} has non-finite entries")
+    _finite(vec, name)
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > KET_NORM_TOL:
         raise NumericsError(f"{name} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return vec
+
+
+def _finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr``, unless it holds a NaN or an infinity: ValueError naming ``name``."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
+
+
+def _ket_or_operator(value, *, name: str) -> np.ndarray:
+    """``value`` through :func:`as_ket` when it is one-dimensional, else through :func:`as_operator`."""
+    arr = np.asarray(value, dtype=complex)
+    return (as_ket if arr.ndim == 1 else as_operator)(arr, name=name)
+
+
+def _matched_pair(first, second, names: tuple[str, str], coerce=as_operator) -> tuple[np.ndarray, np.ndarray]:
+    """``first`` and ``second`` through ``coerce`` (:func:`as_operator` or :func:`as_ket`), on one space."""
+    a, b = coerce(first, name=names[0]), coerce(second, name=names[1])
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a, b
 
 
 def bloch_ket(theta: float, phi: float = 0.0) -> np.ndarray:
@@ -92,24 +113,29 @@ def bloch_pair(theta: float | np.ndarray, phi: float | np.ndarray = 0.0) -> np.n
 
     The angles broadcast against each other: array angles give a stack of
     shape ``(..., 2, 2)`` over their broadcast shape, scalars one ``(2, 2)``
-    pair.
+    pair.  Non-finite angles are refused.
     """
-    half = np.asarray(theta, dtype=float) / 2.0
-    c, s, phi = np.broadcast_arrays(np.cos(half), np.sin(half), np.asarray(phi, dtype=float))
+    return _bloch_pair(_finite(np.asarray(theta, dtype=float), "theta"), _finite(np.asarray(phi, dtype=float), "phi"))
+
+
+def _bloch_pair(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """:func:`bloch_pair` of float angles known to be finite, as a search makes them."""
+    half = theta / 2.0
+    c, s, phi = np.broadcast_arrays(np.cos(half), np.sin(half), phi)
     top = np.stack([c, np.exp(1j * phi) * s], axis=-1)
     bottom = np.stack([-np.exp(-1j * phi) * s, c], axis=-1)
     return np.stack([top, bottom], axis=-2)
 
 
 def projector(ket: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |ket><ket|."""
-    vec = np.asarray(ket, dtype=complex)
+    """Rank-1 projector |ket><ket| of a unit ket."""
+    vec = as_ket(ket)
     return np.outer(vec, vec.conj())
 
 
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product of two operators (or kets)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.kron(_ket_or_operator(a, name="a"), _ket_or_operator(b, name="b"))
 
 
 def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
@@ -120,12 +146,14 @@ def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
     rho:
         Operator on a space of dimension ``dims[0] * dims[1]``.
     dims:
-        Factor dimensions ``(d_a, d_b)``.
+        Factor dimensions ``(d_a, d_b)``: two integers.
     keep:
         ``"A"`` keeps the first factor, ``"B"`` the second.
     """
     mat = as_operator(rho, name="rho")
-    da, db = int(dims[0]), int(dims[1])
+    if np.ndim(dims) != 1 or len(dims) != 2:
+        raise ValueError(f"dims must be two factor dimensions, got {dims!r}")
+    da, db = _check_integer(dims[0], "dims[0]"), _check_integer(dims[1], "dims[1]")
     if da < 1 or db < 1 or mat.shape[0] != da * db:
         raise ValueError(f"dimension mismatch: operator is {mat.shape[0]}-dim, dims give {da * db}")
     four = mat.reshape(da, db, da, db)
@@ -185,8 +213,14 @@ def _spectrum(herm: np.ndarray) -> np.ndarray:
 
 
 def shannon_entropy(probs) -> float:
-    """Shannon entropy in bits of a nonnegative weight vector (zeros ignored)."""
-    p = np.asarray(probs, dtype=float)
+    """Shannon entropy in bits of an array of weights.
+
+    Weights at or below zero add nothing; one below ``-PSD_TOL``, or a
+    non-finite one, is refused.
+    """
+    p = _finite(np.asarray(probs, dtype=float), "probs")
+    if p.size and p.min() < -PSD_TOL:
+        raise NumericsError(f"probs has a negative weight: {p.min():.3e}")
     p = p[p > 0.0]
     if p.size == 0:
         return 0.0
@@ -204,10 +238,7 @@ def von_neumann_entropy(rho) -> float:
 
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of the difference of two Hermitian operators."""
-    a = as_operator(rho, name="rho")
-    b = as_operator(sigma, name="sigma")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _matched_pair(rho, sigma, ("rho", "sigma"))
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(_hermitian_part(a - b)))))
 
 
@@ -239,8 +270,8 @@ def relative_entropy_of_coherence(rho, basis: MeasurementModel | None = None) ->
     """
     mat = as_operator(rho, name="rho")
     probs = np.real(_populations(mat, basis))
-    value = shannon_entropy(probs) - von_neumann_entropy(mat)
-    return max(value, 0.0)
+    entropy = von_neumann_entropy(mat)  # first: it words a non-PSD operator
+    return max(shannon_entropy(probs) - entropy, 0.0)
 
 
 @dataclass(frozen=True)
@@ -399,7 +430,7 @@ class MeasurementModel:
 
     @classmethod
     def computational(cls, dim: int) -> "MeasurementModel":
-        return cls.from_kets(np.eye(dim), np.arange(dim, dtype=float))
+        return cls.from_kets(np.eye(_check_integer(dim, "dim")), np.arange(dim, dtype=float))
 
     @classmethod
     def from_axis_angle(

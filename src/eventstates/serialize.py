@@ -22,7 +22,7 @@ import numpy as np
 
 from .event_states import EventState
 from .policy import MAX_GRID_BINS, ScenarioError, _integral_text
-from .quantum_core import MeasurementModel
+from .quantum_core import MeasurementModel, as_operator
 from .timing import TimeGrid, TimingProfile
 
 __all__ = [
@@ -65,7 +65,13 @@ def _number(value: Any, context: str, key: str) -> float:
 
 
 def _integer(value: Any, context: str, key: str, *, most: int | None = None) -> int:
-    """``value`` as an int; only an integral JSON number (4 or 4.0), at most ``most`` if given, passes."""
+    """``value`` as an int; only an integral JSON number (4 or 4.0), at most ``most`` if given, passes.
+
+    This is the file rule, not the library's ``policy._check_integer``: JSON
+    has one number type and draft 07 counts 4.0 as an integer, so a file may
+    write a count as 4.0, while a Python argument must be a
+    ``numbers.Integral``.
+    """
     integral = isinstance(value, float) and value.is_integer() or isinstance(value, numbers.Integral)
     if isinstance(value, bool) or not integral:
         shown = repr(value) if isinstance(value, float) else type(value).__name__
@@ -121,8 +127,8 @@ def _parts_to_array(data: dict, context: str) -> np.ndarray:
 
 
 def operator_to_json(op: np.ndarray) -> dict:
-    """Serialize a square complex matrix."""
-    mat = np.asarray(op, dtype=complex)
+    """Serialize a square complex matrix with finite entries."""
+    mat = as_operator(op)
     re, im = _complex_parts(mat)
     return {"dim": int(mat.shape[0]), "re": re, "im": im}
 

@@ -14,7 +14,6 @@ measure every builder and time table reads.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .policy import MAX_BRANCHING_BINS, PROFILE_NORM_TOL, NumericsError, ScenarioError, _integral_text
+from .policy import _check_arrangement, _check_integer, _check_positive
 from .quantum_core import _readonly
 
 __all__ = [
@@ -45,18 +45,6 @@ __all__ = [
 
 MARGINAL = "marginal"
 CONDITIONAL = "conditional"
-
-
-def _check_arrangement(kind: str) -> None:
-    """Raise :class:`ScenarioError` unless ``kind`` names a causal arrangement, "SL" or "TL"."""
-    if not isinstance(kind, str) or kind not in ("SL", "TL"):
-        raise ScenarioError(f"kind must be 'SL' or 'TL', got {kind!r}")
-
-
-def _check_integer(value, name: str) -> None:
-    """Raise ValueError unless ``value`` is an integer: a ``numbers.Integral``, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -186,16 +174,10 @@ class BranchingSchedule:
         )
 
 
-def _check_positive(value: float, name: str) -> None:
-    if not (0.0 < value < math.inf):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 def exponential_grid(gamma: float, dt: float, *, tail_mass: float = 1e-6) -> TimeGrid:
     """Grid from t0 = 0 for an exponential-decay profile, sized so the
     untruncated tail mass beyond the grid end is at most ``tail_mass``."""
-    _check_positive(gamma, "decay rate")
-    _check_positive(dt, "dt")
+    gamma, dt = _check_positive(gamma, "decay rate"), _check_positive(dt, "dt")
     if not (0.0 < tail_mass < 1.0):
         raise ValueError("tail_mass must lie in (0, 1)")
     rate = gamma * dt
@@ -207,12 +189,12 @@ def exponential_grid(gamma: float, dt: float, *, tail_mass: float = 1e-6) -> Tim
 
 def exponential_tail_mass(gamma: float, grid: TimeGrid) -> float:
     """Probability mass of the exponential law beyond the end of the grid."""
+    gamma = _check_positive(gamma, "decay rate")
     return math.exp(-gamma * (grid.dt * grid.n_bins))
 
 
 def _decay(gamma: float, grid: TimeGrid) -> np.ndarray:
-    """sqrt(gamma) exp(-gamma tau / 2) at the elapsed times tau = dt * k of the grid."""
-    _check_positive(gamma, "decay rate")
+    """sqrt(gamma) exp(-gamma tau / 2) at the elapsed times tau = dt * k of the grid, for a checked rate."""
     if gamma * grid.dt > 0.1:
         warnings.warn(
             f"gamma * dt = {gamma * grid.dt:.3g} > 0.1; grid is coarse for this decay rate",
@@ -223,8 +205,8 @@ def _decay(gamma: float, grid: TimeGrid) -> np.ndarray:
 
 def exponential_profile(gamma: float, grid: TimeGrid) -> TimingProfile:
     """Marginal profile chi(t) = sqrt(gamma) exp(-gamma (t - t0) / 2), renormalized on the grid."""
+    tail = exponential_tail_mass(gamma, grid)  # checks the rate _decay takes as checked
     amps = _decay(gamma, grid)
-    tail = exponential_tail_mass(gamma, grid)
     if tail > PROFILE_NORM_TOL:
         warnings.warn(
             f"grid truncates {tail:.3g} of the decay mass; extend the grid for accuracy",
@@ -241,7 +223,7 @@ def exponential_conditional(gamma: float, grid: TimeGrid) -> TimingProfile:
     l >= k, renormalized over the remaining window.
     """
     n = grid.n_bins
-    decay = _decay(gamma, grid)
+    decay = _decay(_check_positive(gamma, "decay rate"), grid)
     # lagged[k, l] = decay[l - k] for l >= k and 0 below (a view, no copy);
     # row k's window holds the first n - k lags.
     lagged = sliding_window_view(np.concatenate([np.zeros(n - 1), decay]), n)[::-1]
@@ -251,7 +233,7 @@ def exponential_conditional(gamma: float, grid: TimeGrid) -> TimingProfile:
 
 def delta_profile(grid: TimeGrid, bin_index: int) -> TimingProfile:
     """Marginal profile with all mass in a single bin."""
-    _check_integer(bin_index, "bin index")
+    bin_index = _check_integer(bin_index, "bin index")
     if not (0 <= bin_index < grid.n_bins):
         raise ValueError(f"bin index {bin_index} outside grid of {grid.n_bins} bins")
     amps = np.zeros(grid.n_bins)
@@ -264,7 +246,7 @@ def delta_conditional(grid: TimeGrid, lag_bins: int) -> TimingProfile:
 
     Rows whose target would fall past the grid clip to the last bin.
     """
-    _check_integer(lag_bins, "lag")
+    lag_bins = _check_integer(lag_bins, "lag")
     if lag_bins < 0:
         raise ValueError(f"lag must be nonnegative, got {lag_bins}")
     n = grid.n_bins
@@ -290,7 +272,7 @@ def branching_amplitudes(schedule: BranchingSchedule) -> np.ndarray:
 
 def branching_amplitude(schedule: BranchingSchedule, k: int) -> complex:
     """Firing amplitude for bin k alone."""
-    _check_integer(k, "bin index")
+    k = _check_integer(k, "bin index")
     if not (0 <= k < schedule.grid.n_bins):
         raise ValueError(f"bin index {k} outside grid of {schedule.grid.n_bins} bins")
     return complex(branching_amplitudes(schedule)[k])
@@ -460,7 +442,7 @@ def joint_time_distribution(
     ``kind="SL"`` takes two independent marginals; ``kind="TL"`` takes the
     first detector's marginal and the second's conditional rows.
     """
-    _check_arrangement(kind)
+    kind = _check_arrangement(kind)
     timing = EventTiming(profile_a, profile_b)
     timing.require_kind(kind)
     return timing.distribution()

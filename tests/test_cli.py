@@ -930,7 +930,7 @@ def test_demo_decay_tracks_the_continuum(capsys):
     assert payload["verdict"] == "causal-signature"
 
 
-@pytest.mark.parametrize("gamma", ["10", "100"])
+@pytest.mark.parametrize("gamma", ["0.1", "10", "100"])
 def test_demo_decay_table_step_follows_the_lifetime(capsys, gamma):
     # the covariance table steps 0.02 / gamma, so cov * gamma^2 does not depend on gamma
     code, out, err = _run(capsys, "demo", "decay", "--gamma", gamma, "--json")
@@ -955,8 +955,6 @@ def test_demo_decay_rejects_coarse_grids(capsys):
         (["--dt", "-0.5"], 2),
         # 13,815,510,558 bins: refused before any array is made
         (["--gamma", "1e-6"], 2),
-        # a 6,908-bin covariance table, beyond MAX_GRID_BINS
-        (["--gamma", "0.1"], 2),
         # gamma * dt underflows to zero
         (["--gamma", "1e-200", "--dt", "1e-200"], 2),
         # a valid grid whose time moments overflow
@@ -969,7 +967,6 @@ def test_demo_decay_rejects_coarse_grids(capsys):
         "nan-dt",
         "negative-dt",
         "tiny-gamma",
-        "big-table",
         "zero-rate",
         "overflow",
     ],
@@ -1009,6 +1006,8 @@ def test_demo_decay_prints_a_covariance_just_below_the_float_maximum():
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert "verdict = causal-signature" in result.stdout
+    covariance = [line for line in result.stdout.splitlines() if line.startswith("time covariance = ")]
+    assert len(covariance) == 1 and len(covariance[0]) <= 80
 
 
 def test_warnings_print_as_one_line_each_before_the_error(tmp_path):
