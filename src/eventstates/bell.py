@@ -59,7 +59,7 @@ def _check_family(states: Sequence[EventState]) -> None:
         raise ScenarioError("CHSH settings must share record dimensions")
     for s in states:
         for labels in (s.basis_a.labels, s.basis_b.labels):
-            if not np.array_equal(np.sort(labels), [-1.0, 1.0]):
+            if sorted(labels.tolist()) != [-1.0, 1.0]:
                 raise ScenarioError("CHSH needs two-outcome records labeled +1 and -1")
 
 
@@ -87,7 +87,11 @@ def chsh_scenarios(
     two per side; the returned scenarios follow the order (a, b), (a, b'),
     (a', b), (a', b').
     """
-    if len(angles_a) != 2 or len(angles_b) != 2:
+    try:
+        counts = len(angles_a), len(angles_b)
+    except TypeError:  # a side given as one number, or as no sequence at all
+        counts = None
+    if counts != (2, 2):
         raise ScenarioError("two settings per side are required")
     bases_a = [MeasurementModel.from_axis_angle(float(t)) for t in angles_a]
     bases_b = [MeasurementModel.from_axis_angle(float(t)) for t in angles_b]

@@ -17,6 +17,7 @@ predictable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,7 +166,7 @@ def predict_future_outcome(state: EventState) -> PredictionReport:
     # helstrom_success of each live pair i < j from one eigvalsh of the stacked gaps
     # (p_i sigma_i - p_j sigma_j) / (p_i + p_j), Hermitian as the sigmas are: L(L-1)/2
     # da x da matrices for L live outcomes, 28 KB at L = da = 8 and 0.5 MB at 16.
-    i, j = live[np.array(np.triu_indices(live.size, 1))]
+    i, j = live[_pair_indices(live.size)]
     gaps = (weighted[i] - weighted[j]) / (probs[i] + probs[j])[:, None, None]
     pairwise = np.full((probs.size, probs.size), np.nan)
     pairwise[i, j] = pairwise[j, i] = _success(np.linalg.eigvalsh(gaps))
@@ -173,6 +174,14 @@ def predict_future_outcome(state: EventState) -> PredictionReport:
     return PredictionReport(
         success=min(success, 1.0), exact=False, projector=None, pairwise=pairwise
     )
+
+
+@functools.cache
+def _pair_indices(count: int) -> np.ndarray:
+    """Rows i and j of every pair i < j of ``count`` live outcomes, made once per count."""
+    pairs = np.array(np.triu_indices(count, 1))
+    pairs.setflags(write=False)
+    return pairs
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 Every validation step in the package reads its thresholds from the module
 constants below, so each tolerance is stated once.  The values match the
 contracts asserted by the test suite.  The scalar argument rules (an
-integer count, a positive finite rate, a causal arrangement) are stated
-here too, each returning the value it checked.
+integer count, a real number, a positive finite rate, a causal
+arrangement) are stated here too, each returning the value it checked.
 """
 
 from __future__ import annotations
@@ -38,9 +38,16 @@ def _check_integer(value, name: str) -> int:
     return value
 
 
+def _check_real(value, name: str) -> float:
+    """``value``, unless it is no real number (a ``numbers.Real`` that is not a bool): ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _check_positive(value: float, name: str) -> float:
-    """``value``, unless it is not positive and finite (NaN is neither): ValueError."""
-    if not (0.0 < value < math.inf):
+    """``value``, unless it is not a positive and finite real number (NaN is neither): ValueError."""
+    if not (0.0 < _check_real(value, name) < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 

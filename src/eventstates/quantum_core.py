@@ -14,6 +14,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,7 +78,7 @@ def as_ket(value, *, name: str = "ket") -> np.ndarray:
     if vec.ndim != 1 or vec.size < 1:
         raise ValueError(f"{name} must be a vector, got shape {vec.shape}")
     _finite(vec, name)
-    norm = float(np.linalg.norm(vec))
+    norm = math.sqrt(np.vdot(vec, vec).real)
     if abs(norm - 1.0) > KET_NORM_TOL:
         raise NumericsError(f"{name} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return vec
@@ -115,7 +117,28 @@ def bloch_pair(theta: float | np.ndarray, phi: float | np.ndarray = 0.0) -> np.n
     shape ``(..., 2, 2)`` over their broadcast shape, scalars one ``(2, 2)``
     pair.  Non-finite angles are refused.
     """
+    if isinstance(theta, numbers.Real) and isinstance(phi, numbers.Real):  # two scalar angles: one pair
+        return _scalar_bloch_pair(float(theta), float(phi))
     return _bloch_pair(_finite(np.asarray(theta, dtype=float), "theta"), _finite(np.asarray(phi, dtype=float), "phi"))
+
+
+# The exponents i phi and -i phi of the azimuthal phases, as _bloch_pair forms them.
+_TURNS = np.array([1j, -1j])
+
+
+def _scalar_bloch_pair(theta: float, phi: float) -> np.ndarray:
+    """:func:`bloch_pair` of two float angles, bit for bit as :func:`_bloch_pair` makes it.
+
+    The same numpy operations run on the scalars, and one ``np.array`` call
+    takes the place of the broadcasts and stacks.
+    """
+    for value, name in ((theta, "theta"), (phi, "phi")):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} has non-finite entries")
+    half = theta / 2.0
+    c, s = np.cos(half), np.sin(half)
+    up, down = np.exp(_TURNS * phi)
+    return np.array([[c, up * s], [-down * s, c]])
 
 
 def _bloch_pair(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -166,9 +189,14 @@ def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
     return _hermitian_part(out)
 
 
-def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """(M + M^dagger) / 2 of a matrix or stack, halving first: a sum near the float maximum would overflow."""
-    return 0.5 * mat + 0.5 * mat.conj().swapaxes(-1, -2)
+def _hermitian_part(mat: np.ndarray, adjoint: np.ndarray | None = None) -> np.ndarray:
+    """(M + M^dagger) / 2 of a matrix or stack, halving first: a sum near the float maximum would overflow.
+
+    ``adjoint`` is M^dagger, when the caller has already formed it.
+    """
+    if adjoint is None:
+        adjoint = mat.conj().swapaxes(-1, -2)
+    return 0.5 * mat + 0.5 * adjoint
 
 
 def _record_blocks(mat: np.ndarray, db: int) -> np.ndarray:
@@ -190,7 +218,7 @@ def _pieces(mat: np.ndarray, db: int = 1) -> np.ndarray:
     Hermitian part of ``mat`` are zero off the same pieces.
     """
     nonzero = np.count_nonzero(mat)
-    diagonal = np.diagonal(mat)
+    diagonal = mat.diagonal()
     if nonzero == np.count_nonzero(diagonal):
         return diagonal[:, None, None]
     if db > 1:
@@ -301,9 +329,9 @@ def _density_check(mat: np.ndarray, db: int = 1) -> tuple[DensityCheck, np.ndarr
     """
     pieces = _pieces(mat, db)
     adjoint = pieces.conj().swapaxes(-1, -2)
-    herm_defect = float(np.max(np.abs(pieces - adjoint)))
-    trace_defect = float(abs(np.trace(mat) - 1.0))
-    vals = _spectrum(_hermitian_part(pieces))
+    herm_defect = float(np.abs(pieces - adjoint).max())
+    trace_defect = float(abs(mat.trace() - 1.0))
+    vals = _spectrum(_hermitian_part(pieces, adjoint))
     min_eig = float(vals.min())
     check = DensityCheck(
         dim=mat.shape[0],
@@ -348,8 +376,14 @@ def _assert_hermitian(mat: np.ndarray, *, name: str) -> np.ndarray:
     return mat
 
 
+def _identity_defect(gram: np.ndarray) -> float:
+    """Largest entry of ``|gram - I|``, subtracting 1 on the diagonal of the fresh ``gram`` in place."""
+    gram.ravel()[:: gram.shape[0] + 1] -= 1.0
+    return float(np.abs(gram).max())
+
+
 def _unitarity_defect(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
+    return _identity_defect(mat.conj().T @ mat)
 
 
 def is_unitary(op) -> bool:
@@ -389,13 +423,13 @@ class MeasurementModel:
         labels = np.asarray(self.labels, dtype=float)
         if labels.shape != (kets.shape[0],):
             raise ValueError("one label per basis ket required")
-        if not np.all(np.isfinite(labels)):
+        values = labels.tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError("outcome labels must be finite")
-        gram = kets.conj() @ kets.T
-        defect = float(np.max(np.abs(gram - np.eye(kets.shape[0]))))
+        defect = _identity_defect(kets.conj() @ kets.T)
         if defect > ORTHO_TOL:
             raise NumericsError(f"basis is not orthonormal: defect {defect:.3e}")
-        if len(set(labels.tolist())) != labels.size:
+        if len(set(values)) != len(values):
             raise ValueError("outcome labels must be distinct")
         object.__setattr__(self, "kets", _readonly(kets))
         object.__setattr__(self, "labels", _readonly(labels))
@@ -404,11 +438,17 @@ class MeasurementModel:
     def dim(self) -> int:
         return self.kets.shape[0]
 
+    def _index(self, index: int) -> int:
+        """``index``, unless it numbers no ket (an integer in [0, dim)): ValueError naming it."""
+        if not 0 <= _check_integer(index, "ket index") < self.dim:
+            raise ValueError(f"ket index {index} is outside [0, {self.dim})")
+        return index
+
     def ket(self, index: int) -> np.ndarray:
-        return self.kets[index]
+        return self.kets[self._index(index)]
 
     def projector(self, index: int) -> np.ndarray:
-        return projector(self.kets[index])
+        return projector(self.kets[self._index(index)])
 
     @classmethod
     def from_kets(cls, kets: Sequence, labels: Sequence[float]) -> "MeasurementModel":
@@ -430,7 +470,9 @@ class MeasurementModel:
 
     @classmethod
     def computational(cls, dim: int) -> "MeasurementModel":
-        return cls.from_kets(np.eye(_check_integer(dim, "dim")), np.arange(dim, dtype=float))
+        if _check_integer(dim, "dim") < 1:
+            raise ValueError(f"dim must be at least 1, got {dim}")
+        return cls.from_kets(np.eye(dim), np.arange(dim, dtype=float))
 
     @classmethod
     def from_axis_angle(

@@ -28,6 +28,7 @@ from .event_states import EventScenario
 from .policy import MAX_GRID_BINS, ScenarioError
 from .quantum_core import PAULI_X, PAULI_Y, PAULI_Z, MeasurementModel
 from .serialize import (
+    _PLAIN_NUMBERS,
     _integer,
     _number,
     _parts_to_array,
@@ -81,51 +82,94 @@ def _definition(node: dict) -> dict:
     return node
 
 
-def _required(instance, names, node) -> bool:
-    return not isinstance(instance, dict) or all(name in instance for name in names)
+def _properties(properties: dict, node: dict):
+    subs = tuple(properties.items())
 
-
-def _properties(instance, properties, node) -> bool:
-    if not isinstance(instance, dict):
+    def check(x):
+        if isinstance(x, dict):
+            for key, sub in subs:
+                if key in x and not _check(sub)(x[key]):
+                    return False
         return True
-    return all(_accepts(instance[key], sub) for key, sub in properties.items() if key in instance)
+
+    return check
 
 
-def _additional_properties(instance, allowed, node) -> bool:
-    if not isinstance(instance, dict):
-        return True
-    properties = node.get("properties", {})
-    return all(key in properties for key in instance)
+def _required(names: list, node: dict):
+    names = frozenset(names)
+    return lambda x: not isinstance(x, dict) or x.keys() >= names
 
 
-def _items(instance, item, node) -> bool:
-    if not isinstance(instance, list):
-        return True
-    item = _definition(item)  # once per array, not once per entry
-    if item == {"type": "number"} and set(map(type, instance)) <= {float, int}:
-        return True
-    return all(_accepts(entry, item) for entry in instance)
+def _additional_properties(allowed: bool, node: dict):
+    known = node.get("properties", {}).keys()
+    return lambda x: not isinstance(x, dict) or x.keys() <= known
 
 
-# Keyword -> check(instance, keyword value, schema node), for the keyword forms
-# the packaged schema uses, which its tests pin.  An enum holds only strings,
-# so ``in`` compares as draft 07 does; NaN passes the bounds, as in draft 07,
-# which compares with < and <=.
+def _items(item: dict, node: dict):
+    item = _definition(item)
+    numbers_only = item == {"type": "number"}  # one scan of types decides a list of plain numbers
+
+    def check(x):
+        if not isinstance(x, list) or numbers_only and _PLAIN_NUMBERS.issuperset(map(type, x)):
+            return True
+        return all(map(_check(item), x))
+
+    return check
+
+
+def _one_of(alternatives: list, node: dict):
+    # every alternative is tried, as draft 07 tries them, so a value it cannot compare raises
+    return lambda x: sum([_check(alt)(x) for alt in alternatives]) == 1
+
+
+# Keyword -> maker(keyword value, schema node) of the check instance -> bool,
+# for the keyword forms the packaged schema uses, which its tests pin.  An
+# enum holds only strings, so ``in`` compares as draft 07 does; NaN passes
+# the bounds, as in draft 07, which compares with < and <=.
 _KEYWORDS = {
-    "type": lambda instance, name, node: _TYPES[name](instance),
-    "enum": lambda instance, values, node: instance in values,
+    "type": lambda name, node: _TYPES[name],
+    "enum": lambda values, node: lambda x: x in values,
     "required": _required,
     "properties": _properties,
     "additionalProperties": _additional_properties,
     "items": _items,
-    "minItems": lambda instance, least, node: not isinstance(instance, list) or len(instance) >= least,
-    "maxItems": lambda instance, most, node: not isinstance(instance, list) or len(instance) <= most,
-    "minimum": lambda instance, least, node: not (_TYPES["number"](instance) and instance < least),
-    "exclusiveMinimum": lambda instance, bound, node: not (_TYPES["number"](instance) and instance <= bound),
-    "oneOf": lambda instance, alternatives, node: sum(_accepts(instance, alt) for alt in alternatives) == 1,
+    "minItems": lambda least, node: lambda x: not isinstance(x, list) or len(x) >= least,
+    "maxItems": lambda most, node: lambda x: not isinstance(x, list) or len(x) <= most,
+    "minimum": lambda least, node: lambda x: not (_TYPES["number"](x) and x < least),
+    "exclusiveMinimum": lambda bound, node: lambda x: not (_TYPES["number"](x) and x <= bound),
+    "oneOf": _one_of,
 }
-# Annotations, and the definitions that references name: no verdict reads them.
-_KEYWORDS.update(dict.fromkeys(("$schema", "title", "description", "definitions"), lambda *args: True))
+# Annotations, and the definitions that references name: no verdict reads them, so they make no check.
+_KEYWORDS.update(dict.fromkeys(("$schema", "title", "description", "definitions")))
+
+
+def _compile(node: dict):
+    """The check of ``node``: its definition's for a reference, else its keywords' checks in the node's order."""
+    if "$ref" in node:
+        return _check(_definition(node))
+    checks = tuple(make(value, node) for key, value in node.items() if (make := _KEYWORDS[key]) is not None)
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(instance) -> bool:
+        for each in checks:
+            if not each(instance):
+                return False
+        return True
+
+    return check
+
+
+# id(schema node) -> (the node, kept so that no other object takes its id; its check).
+_CHECKS: dict[int, tuple] = {}
+
+
+def _check(node: dict):
+    """The check of schema node ``node``, compiled on the node's first visit."""
+    entry = _CHECKS.get(id(node))
+    if entry is None:
+        entry = _CHECKS[id(node)] = node, _compile(node)
+    return entry[1]
 
 
 def _accepts(instance, node) -> bool:
@@ -135,13 +179,10 @@ def _accepts(instance, node) -> bool:
     Python value: numpy scalars, tuples and dict subclasses are typed by
     draft 07's own rules.  A comparison draft 07 cannot make either (a
     complex number against ``minimum``) raises here or is refused, and the
-    refusal's draft-07 pass raises.
+    refusal's draft-07 pass raises.  Each schema node is compiled once, on
+    its first visit, into one check per keyword.
     """
-    node = _definition(node)
-    for keyword, value in node.items():
-        if not _KEYWORDS[keyword](instance, value, node):
-            return False
-    return True
+    return _check(node)(instance)
 
 
 @functools.cache

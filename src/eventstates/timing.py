@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .policy import MAX_BRANCHING_BINS, PROFILE_NORM_TOL, NumericsError, ScenarioError, _integral_text
-from .policy import _check_arrangement, _check_integer, _check_positive
+from .policy import _check_arrangement, _check_integer, _check_positive, _check_real
 from .quantum_core import _readonly
 
 __all__ = [
@@ -56,9 +56,9 @@ class TimeGrid:
     n_bins: int
 
     def __post_init__(self):
-        if not (self.dt > 0.0) or not math.isfinite(self.dt):
+        if not (_check_real(self.dt, "dt") > 0.0) or not math.isfinite(self.dt):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not math.isfinite(self.t0):
+        if not math.isfinite(_check_real(self.t0, "t0")):
             raise ValueError("t0 must be finite")
         _check_integer(self.n_bins, "n_bins")
         if self.n_bins < 2:

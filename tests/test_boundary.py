@@ -121,12 +121,28 @@ _ROWS = [
     ("computational-basis", "MeasurementModel", MeasurementModel.computational, {"dim": 3}, {
         "fractional-dim": ("dim", 2.5, "^dim must be an integer, got 2.5$"),
         "bool-dim": ("dim", True, "^dim must be an integer, got True$"),
+        "negative-dim": ("dim", -1, "^dim must be at least 1, got -1$"),
+        "zero-dim": ("dim", 0, "^dim must be at least 1, got 0$"),
+    }),
+    ("basis-ket", "MeasurementModel", _SZ.ket, {"index": 1}, {
+        "fractional-index": ("index", 1.5, "^ket index must be an integer, got 1.5$"),
+        "bool-index": ("index", True, "^ket index must be an integer, got True$"),
+        "negative-index": ("index", -1, r"^ket index -1 is outside \[0, 2\)$"),
+        "outside": ("index", 2, r"^ket index 2 is outside \[0, 2\)$"),
+    }),
+    ("basis-projector", "MeasurementModel", _SZ.projector, {"index": np.int64(0)}, {
+        "fractional-index": ("index", 0.0, "^ket index must be an integer, got 0.0$"),
+        "outside": ("index", 5, r"^ket index 5 is outside \[0, 2\)$"),
     }),
     ("axis-angle-basis", "MeasurementModel", MeasurementModel.from_axis_angle, {"theta": 0.3}, {
         "nan-theta": ("theta", NAN, "^theta has non-finite entries$"),
     }),
     ("TimeGrid", "TimeGrid", TimeGrid, {"t0": 0.0, "dt": 0.25, "n_bins": 4}, {
         "nan-dt": ("dt", NAN, "^dt must be positive"),
+        "zero-dt": ("dt", 0.0, "^dt must be positive, got 0.0$"),
+        "text-dt": ("dt", "0.1", "^dt must be a real number, got '0.1'$"),
+        "bool-dt": ("dt", True, "^dt must be a real number, got True$"),
+        "text-t0": ("t0", "0", "^t0 must be a real number, got '0'$"),
         "nan-t0": ("t0", NAN, "^t0 must be finite$"),
         "fractional-bins": ("n_bins", 4.0, "^n_bins must be an integer, got 4.0$"),
         "bool-bins": ("n_bins", True, "^n_bins must be an integer, got True$"),
@@ -158,6 +174,8 @@ _ROWS = [
     }),
     ("exponential_grid", "exponential_grid", es.exponential_grid, {"gamma": 1.0, "dt": 0.1}, {
         "nan-rate": ("gamma", NAN, "^decay rate must be positive and finite, got nan$"),
+        "text-rate": ("gamma", "1", "^decay rate must be a real number, got '1'$"),
+        "text-step": ("dt", "0.1", "^dt must be a real number, got '0.1'$"),
         "nan-step": ("dt", NAN, "^dt must be positive and finite, got nan$"),
         "nan-tail": ("tail_mass", NAN, r"^tail_mass must lie in \(0, 1\)$"),
     }),
@@ -167,6 +185,7 @@ _ROWS = [
     }),
     ("exponential_profile", "exponential_profile", es.exponential_profile, {"gamma": 20.0, "grid": _DECAY_GRID}, {
         "negative-rate": ("gamma", -1.0, "^decay rate must be positive and finite, got -1.0$"),
+        "complex-rate": ("gamma", 1j, "^decay rate must be a real number, got 1j$"),
         "nan-rate": ("gamma", NAN, "^decay rate must be positive and finite, got nan$"),
     }),
     ("exponential_conditional", "exponential_conditional", es.exponential_conditional,
@@ -245,6 +264,7 @@ _ROWS = [
         "nan-state": ("initial", np.array([0.0, 1.0, NAN, 0.0]), "^initial state has non-finite entries$"),
         "nan-angle": ("angles_a", [0.0, NAN], "^theta has non-finite entries$"),
         "three-angles": ("angles_b", [0.0, 0.5, 1.0], "^two settings per side are required$"),
+        "one-angle": ("angles_a", 0.5, "^two settings per side are required$"),
     }),
     ("operator_to_json", "operator_to_json", es.operator_to_json, {"op": np.eye(2)}, {
         "vector": ("op", [1.0, 2.0, 3.0], "^operator must be a square matrix"),

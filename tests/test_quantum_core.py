@@ -25,6 +25,7 @@ from eventstates import (
 )
 from eventstates.policy import HERMITICITY_TOL, PSD_TOL, TRACE_TOL
 from eventstates.quantum_core import (
+    _bloch_pair,
     _density_check,
     _pieces,
     _record_blocks,
@@ -376,6 +377,25 @@ def test_measurement_model_refuses_non_finite_kets():
         MeasurementModel.from_axis_angle(np.nan)
     with pytest.raises(ValueError, match="non-finite"):
         MeasurementModel.from_kets([[1.0, 0.0], [0.0, np.nan]], [1.0, -1.0])
+
+
+_EDGE_ANGLES = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 1e-300, -1e-300, 5e-324, 1e6, -1e6, 1e15]
+
+
+@given(
+    st.one_of(st.sampled_from(_EDGE_ANGLES), st.floats(-1e6, 1e6)),
+    st.one_of(st.sampled_from(_EDGE_ANGLES), st.floats(-1e6, 1e6)),
+)
+@settings(deadline=None, max_examples=500)
+def test_scalar_angles_give_the_array_pair_bit_for_bit(theta, phi):
+    # two scalar angles take their own path; its kets, signed zeros included, are the array path's
+    expect = _bloch_pair(np.asarray(theta), np.asarray(phi))
+    for pair in (bloch_pair(theta, phi), bloch_pair(np.float64(theta), np.float64(phi))):
+        assert pair.dtype == expect.dtype and pair.shape == expect.shape
+        assert pair.tobytes() == expect.tobytes()
+    assert MeasurementModel.from_axis_angle(theta, phi).kets.tobytes() == expect.tobytes()
+    if theta.is_integer() and abs(theta) < 1e6:  # an int angle reads as its float
+        assert bloch_pair(int(theta), phi).tobytes() == _bloch_pair(np.asarray(float(int(theta))), np.asarray(phi)).tobytes()
 
 
 def test_axis_angle_basis_matches_bloch_pair():

@@ -1,7 +1,11 @@
 """Round-trips and canonical-form guarantees for the JSON layer."""
 
+import decimal
+import fractions
 import json
 import math
+import numbers
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -331,16 +335,26 @@ _matrix_floats = st.one_of(st.just(0.0), st.just(-0.0), _row_floats)
 
 @st.composite
 def _float_matrices(draw):
+    # 1 to 72 entries: both sides of the small-matrix threshold
     width = draw(st.integers(1, 6))
     height = draw(st.integers(1, 12))
     return draw(st.lists(st.lists(_matrix_floats, min_size=width, max_size=width), min_size=height, max_size=height))
 
 
-@given(_float_matrices(), st.sampled_from([1, 2, 3, 7, serialize._MATRIX_BLOCK]))
+def test_drawn_matrices_fall_on_both_sides_of_the_small_matrix_threshold():
+    assert 1 <= serialize._SMALL_MATRIX < 6 * 12
+
+
+@given(
+    _float_matrices(),
+    st.sampled_from([1, 2, 3, 7, serialize._MATRIX_BLOCK]),
+    st.sampled_from([0, serialize._SMALL_MATRIX, 10**6]),
+)
 @settings(deadline=None, max_examples=400)
-def test_float_matrix_text_matches_the_per_number_formula_row_by_row(rows, block):
-    # a small block puts several blocks of rows into one small matrix
-    with mock.patch.object(serialize, "_MATRIX_BLOCK", block):
+def test_float_matrix_text_matches_the_per_number_formula_row_by_row(rows, block, small):
+    # a small block puts several blocks of rows into one small matrix; a threshold of 0
+    # sends every matrix down the block path, 10**6 every one through the small-matrix path
+    with mock.patch.object(serialize, "_MATRIX_BLOCK", block), mock.patch.object(serialize, "_SMALL_MATRIX", small):
         assert canonical_dumps(rows) == _per_number_matrix_text(rows)
         assert canonical_dumps(np.array(rows)) == _per_number_matrix_text(rows)
 
@@ -363,15 +377,16 @@ def test_float_matrix_text_matches_the_per_number_formula_across_row_blocks(shap
     st.lists(st.sampled_from([float("nan"), float("inf"), -float("inf")]), min_size=1, max_size=3),
     st.data(),
     st.sampled_from([1, 2, serialize._MATRIX_BLOCK]),
+    st.sampled_from([0, serialize._SMALL_MATRIX, 10**6]),
 )
 @settings(deadline=None, max_examples=200)
-def test_float_matrix_text_refuses_non_finite_like_the_rounded_oracle(rows, bads, data, block):
+def test_float_matrix_text_refuses_non_finite_like_the_rounded_oracle(rows, bads, data, block, small):
     for bad in bads:
         i = data.draw(st.integers(0, len(rows) - 1))
         rows[i][data.draw(st.integers(0, len(rows[0]) - 1))] = bad
     expected = _outcome(_oracle_dumps, rows)
     assert isinstance(expected, tuple)
-    with mock.patch.object(serialize, "_MATRIX_BLOCK", block):
+    with mock.patch.object(serialize, "_MATRIX_BLOCK", block), mock.patch.object(serialize, "_SMALL_MATRIX", small):
         assert _outcome(canonical_dumps, rows) == expected
         assert _outcome(canonical_dumps, np.array(rows)) == expected
 
@@ -489,3 +504,64 @@ def test_load_state_rejects_malformed_files(tmp_path):
         load_state(str(path))
     with pytest.raises(FileNotFoundError):
         load_state(str(tmp_path / "missing.json"))
+
+
+def _per_part_reader(data, context):
+    """The matrix reader as it stood before its one-pass path: each part converted and scanned alone."""
+    parts = data["re"], data["im"]
+    error = f"{context}: re/im must be rectangular arrays of numbers"
+
+    def one(value):
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(error) from exc
+        leaves = value if arr.ndim else [value]
+        for _ in range(arr.ndim - 1):
+            leaves = [x for row in leaves for x in row]
+        if not all(t is not bool and issubclass(t, numbers.Real) for t in set(map(type, leaves))):
+            raise ScenarioError(error)
+        return arr
+
+    re, im = one(parts[0]), one(parts[1])
+    if re.shape != im.shape:
+        raise ScenarioError(f"{context}: re/im shapes differ ({re.shape} vs {im.shape})")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ScenarioError(f"{context}: non-finite entries")
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+_part_leaves = st.one_of(
+    st.floats(),  # NaN and infinities too
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([True, False, None, "1.5", "x", 1j, np.float64(0.5), np.int64(3), np.bool_(True),
+                     np.complex128(1.0), fractions.Fraction(1, 3), decimal.Decimal("0.5"), -0.0]),
+)
+_parts = st.one_of(
+    _part_leaves,
+    st.lists(_part_leaves, max_size=3),
+    st.lists(st.lists(_part_leaves, min_size=2, max_size=2), min_size=1, max_size=3),
+    st.lists(st.one_of(_part_leaves, st.lists(_part_leaves, max_size=2)), max_size=3),
+)
+
+
+def _reader_outcome(read, data):
+    try:
+        out = read(data, "m")
+    except (ScenarioError, np.exceptions.ComplexWarning) as exc:
+        return type(exc), str(exc)
+    return out.shape, out.tobytes()
+
+
+@given(_parts, _parts, st.booleans(), st.sampled_from(["ignore", "error"]))
+@settings(deadline=None, max_examples=600)
+def test_one_pass_reader_decides_and_words_as_the_per_part_reader(re, im, same_shape, complex_warning):
+    # a numpy complex scalar warns as numpy casts it; as an error, it must surface where the per-part reader raises it
+    if same_shape:  # most malformed pairs differ in shape; these differ only in their leaves
+        im = re
+    data = {"re": re, "im": im}
+    with warnings.catch_warnings():
+        warnings.simplefilter(complex_warning, np.exceptions.ComplexWarning)
+        assert _reader_outcome(serialize._parts_to_array, data) == _reader_outcome(_per_part_reader, data)
